@@ -1,17 +1,12 @@
-"""Small exact-arithmetic helpers: residues, inverses, two-generator membership."""
+"""Small exact-arithmetic helpers: inverses, two-generator membership and
+coprime pair enumeration."""
 
 from __future__ import annotations
 
 from math import gcd
+from typing import Iterator
 
 from .errors import InvalidParameters, NotInvertible
-
-
-def least_nonneg_residue(n: int, modulus: int) -> int:
-    """Return n mod modulus in [0, modulus)."""
-    if modulus < 1:
-        raise InvalidParameters(f"modulus must be >= 1, got {modulus}")
-    return n % modulus
 
 
 def mod_inverse(a: int, modulus: int) -> int:
@@ -39,3 +34,15 @@ def in_semigroup(n: int, p: int, q: int) -> bool:
     x = n * mod_inverse(q, p) % p
     rest = n - x * q
     return rest >= 0 and rest % p == 0
+
+
+def enumerate_coprime_pairs(
+    p_max: int, q_max: int, *, coprime_to: int = 1, p_min: int = 3
+) -> Iterator[tuple[int, int]]:
+    """Coprime pairs p < q within bounds, both coprime to an extra modulus."""
+    for p in range(p_min, p_max + 1):
+        if gcd(p, coprime_to) != 1:
+            continue
+        for q in range(p + 1, q_max + 1):
+            if gcd(p, q) == 1 and gcd(q, coprime_to) == 1:
+                yield p, q

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from .arith import enumerate_coprime_pairs
 from .errors import InvalidTriple, PreconditionViolated
 from .height import coefficient_set, height, is_flat
 from .report import VerificationReport
@@ -211,18 +212,13 @@ def bounded_height_sup(s: int, p_max: int) -> tuple[int, list[tuple[int, int]]]:
         return s - 1, []
     best = 0
     attained: list[tuple[int, int]] = []
-    for p in range(3, p_max + 1):
-        if gcd(p, s) != 1:
-            continue
-        for q in range(p + 1, p_max + 1):
-            if gcd(q, s) != 1 or gcd(p, q) != 1:
-                continue
-            val = height(Triple(p, q, s)).height
-            if val > best:
-                best = val
-                attained = [(p, q)]
-            elif val == best:
-                attained.append((p, q))
+    for p, q in enumerate_coprime_pairs(p_max, p_max, coprime_to=s):
+        val = height(Triple(p, q, s)).height
+        if val > best:
+            best = val
+            attained = [(p, q)]
+        elif val == best:
+            attained.append((p, q))
     return best, attained
 
 

@@ -32,13 +32,14 @@ from .height import height
 from .represent import Triple
 from .search import SearchTask, find_bound_attained_pairs, find_sharp_step_pairs, sweep_heights
 
-# positional parameter order for each whole-polynomial check
-_BOUND_PARAMS = {
-    "height-residue": ("p", "q", "r", "s"),
-    "coeffset-residue": ("p", "q", "r", "s"),
-    "recursive-bound": ("p", "q", "s", "r"),
-    "absolute-bound": ("p", "q", "s", "r"),
-    "iterated-bound": ("p", "q", "sign"),
+# whole-polynomial checks: positional parameter order, the checks function
+# (looked up by name at call time) and the options it takes from the CLI
+_BOUND_CHECKS = {
+    "height-residue": (("p", "q", "r", "s"), "verify_height_residue", ()),
+    "coeffset-residue": (("p", "q", "r", "s"), "verify_coeffset_residue", ("relation",)),
+    "recursive-bound": (("p", "q", "s", "r"), "verify_recursive_bound", ()),
+    "absolute-bound": (("p", "q", "s", "r"), "verify_absolute_bound", ()),
+    "iterated-bound": (("p", "q", "sign"), "verify_iterated_bound", ()),
 }
 
 
@@ -140,23 +141,15 @@ def _cmd_verify(args) -> int:
             cid, t, samples=args.samples, seed=args.seed, mode=args.mode, s=args.s
         )
         return _report_exit(report, args.json)
-    if cid in _BOUND_PARAMS:
-        names = _BOUND_PARAMS[cid]
+    if cid in _BOUND_CHECKS:
+        names, fn_name, options = _BOUND_CHECKS[cid]
         if len(params) != len(names):
             raise PreconditionViolated(
                 f"{cid} takes {' '.join(names)}, got {len(params)} values"
             )
         vals = [p if n == "sign" else _int_param(p) for n, p in zip(names, params)]
-        if cid == "height-residue":
-            report = checks.verify_height_residue(*vals)
-        elif cid == "coeffset-residue":
-            report = checks.verify_coeffset_residue(*vals, relation=args.relation)
-        elif cid == "recursive-bound":
-            report = checks.verify_recursive_bound(*vals)
-        elif cid == "absolute-bound":
-            report = checks.verify_absolute_bound(*vals)
-        else:
-            report = checks.verify_iterated_bound(*vals)
+        kwargs = {opt: getattr(args, opt) for opt in options}
+        report = getattr(checks, fn_name)(*vals, **kwargs)
         return _report_exit(report, args.json)
     raise PreconditionViolated(f"unknown check id {cid!r}")
 

@@ -27,6 +27,7 @@ from .errors import (
     DomainExceeded,
     InvalidParameters,
     InvalidTriple,
+    InvariantViolated,
     OverflowDetected,
 )
 from .represent import Triple, indicator_range, window_count
@@ -85,15 +86,25 @@ class CoefficientVector:
         return int(self.coeffs[m])
 
     def validate(self) -> None:
-        """Structural self-checks; raises AssertionError on violation."""
+        """Structural self-checks; raises InvariantViolated on violation.
+
+        Explicit raises rather than asserts, so the checks survive python -O.
+        """
         full = self.full_coeffs()
-        assert len(full) == self.degree + 1, "wrong vector length"
-        assert full[0] == 1, "leading coefficient must be 1"
-        assert full[-1] == 1, "trailing coefficient must be 1"
-        assert int(full.sum()) == 1, "coefficients must sum to 1"
-        assert np.array_equal(full, full[::-1]), "vector must be palindromic"
+        _require(len(full) == self.degree + 1, "wrong vector length")
+        _require(full[0] == 1, "leading coefficient must be 1")
+        _require(full[-1] == 1, "trailing coefficient must be 1")
+        _require(int(full.sum()) == 1, "coefficients must sum to 1")
+        _require(np.array_equal(full, full[::-1]), "vector must be palindromic")
         values = np.unique(full)
-        assert np.all(np.diff(values) == 1), "coefficient values must form a consecutive run"
+        _require(
+            np.all(np.diff(values) == 1), "coefficient values must form a consecutive run"
+        )
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise InvariantViolated(message)
 
 
 def _multiply_factor(c: np.ndarray, a: int) -> None:

@@ -32,6 +32,10 @@ class DegreeCapExceeded(IEPolyError):
         self.cap = cap
 
 
+class InvariantViolated(IEPolyError):
+    """Raised when a computed object fails one of its structural self-checks."""
+
+
 class OverflowDetected(IEPolyError):
     """Raised when an intermediate magnitude leaves the signed 64-bit guard band.
 

@@ -1,10 +1,14 @@
 """Pointwise identity validators for the representability machinery.
 
-Each check replays one identity the coefficient theory rests on, either
-exhaustively over its full index domain (feasible when p*q*r is small) or
-on seeded uniform samples clipped to the hypothesis ranges.  Checks about
-the offset form r = p*q + s derive s from the stored triple order and use
-the companion triple {p, q, s} where the identity calls for it.
+Each check states one identity the coefficient theory rests on, once, over
+arrays of positions and three oracles: the indicator ind(ns), the count
+sigma(k, ms) of representable integers in (m-k, m] and the coefficient
+coeff(ms), each 0 at negative positions.  The mode chooses only the
+positions and the oracles: exhaustive mode walks the full index domain
+(feasible when p*q*r is small) and reads the tables of a shared workspace;
+sampled mode draws seeded uniform positions and evaluates directly.  Checks
+about the offset form r = p*q + s derive s from the stored triple order and
+use the companion triple {p, q, s} where the identity calls for it.
 
 Everything here is exact integer arithmetic; a single mismatch fails the
 check and is reported with the witnessing index tuple.
@@ -12,7 +16,9 @@ check and is reported with the witnessing index tuple.
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import namedtuple
+from functools import cache, cached_property, partial, wraps
+from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +39,7 @@ _CHUNK = 1 << 22
 
 
 class _Workspace:
-    """Arrays shared by the exhaustive paths for one triple."""
+    """Tables behind the exhaustive oracles for one triple."""
 
     def __init__(self, t: Triple):
         self.t = t
@@ -75,224 +81,181 @@ def _sigma_many(t: Triple, k: int, ms: np.ndarray) -> np.ndarray:
     offsets = np.arange(k, dtype=np.int64)
     for i in range(0, len(ms), step):
         block = ms[i : i + step, None] - offsets[None, :]
-        out[i : i + step] = (
-            indicator_many(block.ravel(), t).reshape(-1, k).sum(axis=1, dtype=np.int64)
-        )
+        ind = indicator_many(block.ravel(), t).reshape(-1, k)
+        out[i : i + step] = ind.sum(axis=1, dtype=np.int64)
     return out
 
 
 def _coeff_getter(t: Triple):
-    """a_m lookup for sampled positions; 0 outside [0, degree]."""
+    """a_m lookup for sampled positions; 0 outside [0, degree].  The series
+    vector is computed on first use."""
     deg = degree(t)
-    if deg <= _SERIES_SAMPLING_LIMIT:
-        vec = coeffs_series(t).coeffs
-
-        def get(ms: np.ndarray) -> np.ndarray:
-            ms = np.asarray(ms, dtype=np.int64)
-            out = np.zeros(len(ms), dtype=np.int64)
-            mask = (ms >= 0) & (ms <= deg)
-            out[mask] = vec[ms[mask]]
-            return out
-
-    else:
+    if deg > _SERIES_SAMPLING_LIMIT:
         u, v, w = t.sorted()
-
-        def get(ms: np.ndarray) -> np.ndarray:
-            ms = np.asarray(ms, dtype=np.int64)
-            return (
-                _sigma_many(t, u, ms)
-                - _sigma_many(t, u, ms - v)
-                - _sigma_many(t, u, ms - w)
-                + _sigma_many(t, u, ms - v - w)
-            )
-
-    return get
+        return lambda ms: _window_sum(partial(_sigma_many, t), u, ms, v, w)
+    vec = cache(lambda: coeffs_series(t).coeffs)
+    return lambda ms: np.where((ms >= 0) & (ms <= deg), vec()[np.clip(ms, 0, deg)], 0)
 
 
-def _first_witness(bad: np.ndarray, describe) -> dict | None:
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
-        return None
-    return describe(int(idx[0]))
+def _window_sum(sigma, k: int, ms: np.ndarray, a: int, b: int) -> np.ndarray:
+    """sigma_k(m) - sigma_k(m-a) - sigma_k(m-b) + sigma_k(m-a-b)."""
+    return sigma(k, ms) - sigma(k, ms - a) - sigma(k, ms - b) + sigma(k, ms - a - b)
 
 
-def _sample_filtered(rng, draw, accept, samples: int):
-    """Draw tuples until `samples` of them satisfy accept; None if none do."""
-    parts: list[tuple] = []
-    total = 0
-    for _ in range(64):
-        if total >= samples:
-            break
-        batch = draw(max(samples, 1024))
-        mask = accept(*batch)
-        kept = tuple(a[mask] for a in batch)
-        if kept[0].size:
-            parts.append(kept)
-            total += kept[0].size
-    if total == 0:
-        return None
-    return tuple(
-        np.concatenate([p[i] for p in parts])[:samples] for i in range(len(parts[0]))
+def _lookup(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx], 0 at negative idx."""
+    return np.where(idx >= 0, table[np.maximum(idx, 0)], 0)
+
+
+_Oracles = namedtuple("_Oracles", "ind sigma coeff")
+
+
+def _oracles(t: Triple, ws: _Workspace | None, mode: str) -> _Oracles:
+    """Oracles of t: read from the workspace tables (a fresh workspace when
+    none is given) in exhaustive mode, evaluated directly when sampled."""
+    if mode == "sampled":
+        return _Oracles(
+            lambda ns: indicator_many(ns, t),
+            lambda k, ms: _sigma_many(t, k, ms),
+            _coeff_getter(t),
+        )
+    ws = ws or _Workspace(t)
+    return _Oracles(
+        lambda ns: _lookup(ws.ind, ns),
+        lambda k, ms: _prefix_sigma(ws.prefix, k, ms),
+        lambda ms: _lookup(ws.ext, ms),
     )
 
 
-def _offset_parameters(t: Triple) -> tuple[int, int, int, int]:
-    """(p, q, s, pq) for checks that require the third element = p*q + s."""
-    p, q, r = t.p, t.q, t.r
-    s = r - p * q
+def _positions(rng, samples, mode, *axes, keep=None, oversample=1):
+    """Index arrays over the half-open box `axes`, restricted to `keep`.
+
+    Exhaustive: the whole grid, first axis slowest.  Sampled: oversample *
+    samples uniform tuples drawn at once, of which at most `samples` that
+    pass `keep` are kept.
+    """
+    if mode == "exhaustive":
+        spans = (np.arange(lo, hi, dtype=np.int64) for lo, hi in axes)
+        cols, limit = [g.ravel() for g in np.meshgrid(*spans, indexing="ij")], None
+    else:
+        size = oversample * samples
+        cols = [rng.integers(lo, hi, size=size, dtype=np.int64) for lo, hi in axes]
+        limit = samples
+    if keep is not None:
+        mask = keep(*cols)
+        cols = [c[mask][:limit] for c in cols]
+    return cols
+
+
+def _shift_positions(rng, samples, mode, axes, keep, *, min_beta=0):
+    """(k, j, beta) index arrays for the offset checks, restricted to `keep`.
+
+    Exhaustive: the whole grid with beta slowest, then k, then j, and
+    |beta| >= min_beta.  Sampled: batches of uniform tuples until `samples`
+    pass `keep`, giving up after 64 batches.
+    """
+    if mode == "exhaustive":
+        k_ax, j_ax, b_ax = axes
+        bs, ks, js = _positions(
+            rng, samples, mode, b_ax, k_ax, j_ax,
+            keep=lambda bs, ks, js: keep(ks, js, bs) & (abs(bs) >= min_beta),
+        )
+        return ks, js, bs
+    batch = partial(_positions, rng, max(samples, 1024), mode, *axes, keep=keep)
+    parts = [batch()]
+    while sum(len(part[0]) for part in parts) < samples and len(parts) < 64:
+        parts.append(batch())
+    return [np.concatenate(col)[:samples] for col in zip(*parts)]
+
+
+def _verdict(bad: np.ndarray, checked: int, **witness) -> tuple:
+    """(passed, checked, witness).  The witness reads each array field at
+    the first bad index, a tuple of arrays as a list, other values as given."""
+    idx = np.flatnonzero(bad)
+    if idx.size == 0:
+        return True, checked, None
+    i = int(idx[0])
+
+    def at(v):
+        if isinstance(v, np.ndarray):
+            return int(v[i])
+        return [int(x[i]) for x in v] if isinstance(v, tuple) else v
+
+    return False, checked, {key: at(v) for key, v in witness.items()}
+
+
+def _per_case(cases):
+    """A check made of one case(t, c, ind, pos) per c in cases(t); it stops
+    at the first failing case and counts the positions of all it ran."""
+
+    def decorate(case):
+        @wraps(case)
+        def check(t, ws, rng, samples, mode):
+            ind = _oracles(t, ws, mode).ind
+            pos = partial(_positions, rng, samples, mode)
+            checked = 0
+            for c in cases(t):
+                passed, n, witness = case(t, c, ind, pos)
+                checked += n
+                if not passed:
+                    return False, checked, witness
+            return True, checked, None
+
+        return check
+
+    return decorate
+
+
+def _offset(t: Triple) -> int:
+    """s for checks that require the third element r = p*q + s, s >= 1."""
+    s = t.r - t.p * t.q
     if s < 1:
         raise PreconditionViolated(
             f"third element must exceed the product of the first two, got {t}"
         )
-    return p, q, s, p * q
+    return s
 
 
-def _companion(t: Triple) -> tuple[Triple, int, int]:
-    p, q, s, pq = _offset_parameters(t)
-    return Triple(p, q, s), s, pq
+# -- generic checks (any ternary triple) -------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# generic checks (any ternary triple)
-# ---------------------------------------------------------------------------
-
-
-def _check_second_difference(t, ws, rng, samples, mode):
+@_per_case(lambda t: combinations(t.as_tuple(), 2))
+def _check_second_difference(t, pair, ind, pos):
     """|ind(n) - ind(n-a) - ind(n-b) + ind(n-a-b)| <= 1 for each element pair."""
-    n_tot = t.product
-    vals = t.as_tuple()
-    checked = 0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            a, b = vals[i], vals[j]
-            if mode == "exhaustive":
-                base = ws.ind.astype(np.int8)
-                pad = np.zeros(n_tot + a + b, dtype=np.int8)
-                pad[a + b :] = base
-                d = base - pad[b : b + n_tot] - pad[a : a + n_tot] + pad[:n_tot]
-                bad = np.abs(d) > 1
-                checked += n_tot
-                w = _first_witness(bad, lambda k: {"n": k, "pair": [a, b], "value": int(d[k])})
-            else:
-                ns = rng.integers(0, n_tot, size=samples, dtype=np.int64)
-                d = (
-                    indicator_many(ns, t).astype(np.int8)
-                    - indicator_many(ns - a, t)
-                    - indicator_many(ns - b, t)
-                    + indicator_many(ns - a - b, t)
-                )
-                bad = np.abs(d) > 1
-                checked += samples
-                w = _first_witness(
-                    bad, lambda k: {"n": int(ns[k]), "pair": [a, b], "value": int(d[k])}
-                )
-            if w:
-                return False, checked, w
-    return True, checked, None
+    (ns,) = pos((0, t.product))
+    a, b = pair
+    d = ind(ns).astype(np.int8) - ind(ns - a) - ind(ns - b) + ind(ns - a - b)
+    return _verdict(np.abs(d) > 1, len(ns), n=ns, pair=[a, b], value=d)
 
 
-def _check_indicator_period(t, ws, rng, samples, mode):
+@_per_case(Triple.as_tuple)
+def _check_indicator_period(t, pivot, ind, pos):
     """ind(n) = ind(n - product/pivot) unless n is a representable pivot multiple."""
-    n_tot = t.product
-    checked = 0
-    for pivot in t.as_tuple():
-        shift = n_tot // pivot  # product of the other two elements
-        if mode == "exhaustive":
-            ind = ws.ind
-            ns = np.arange(n_tot, dtype=np.int64)
-            excluded = (ns % pivot == 0) & (ind == 1)
-            pad = np.zeros(n_tot + shift, dtype=np.uint8)
-            pad[shift:] = ind
-            bad = ~excluded & (ind != pad[:n_tot])
-            checked += n_tot
-            w = _first_witness(bad, lambda k: {"n": k, "pivot": pivot})
-        else:
-            ns = rng.integers(0, n_tot, size=samples, dtype=np.int64)
-            here = indicator_many(ns, t)
-            excluded = (ns % pivot == 0) & (here == 1)
-            bad = ~excluded & (here != indicator_many(ns - shift, t))
-            checked += samples
-            w = _first_witness(bad, lambda k: {"n": int(ns[k]), "pivot": pivot})
-        if w:
-            return False, checked, w
-    return True, checked, None
+    (ns,) = pos((0, t.product))
+    here = ind(ns)
+    excluded = (ns % pivot == 0) & (here == 1)
+    bad = ~excluded & (here != ind(ns - t.product // pivot))
+    return _verdict(bad, len(ns), n=ns, pivot=pivot)
 
 
-def _check_multiple_period(t, ws, rng, samples, mode):
+@_per_case(Triple.as_tuple)
+def _check_multiple_period(t, pivot, ind, pos):
     """ind(k*pivot + j*shift) = ind(k*pivot) for 0 <= j < pivot, |k| < shift."""
-    n_tot = t.product
-    checked = 0
-    for pivot in t.as_tuple():
-        shift = n_tot // pivot
-        if mode == "exhaustive":
-            ks = np.arange(-shift + 1, shift, dtype=np.int64)
-            js = np.arange(pivot, dtype=np.int64)
-            base = indicator_many(ks * pivot, t)
-            grid = ks[:, None] * pivot + js[None, :] * shift
-            valid = grid < n_tot
-            expect = np.broadcast_to(base[:, None], grid.shape)[valid]
-            got = indicator_many(grid[valid], t)
-            bad = got != expect
-            checked += int(valid.sum())
-            kv, jv = np.nonzero(valid)
-
-            def describe(i):
-                return {
-                    "k": int(ks[kv[i]]),
-                    "j": int(js[jv[i]]),
-                    "pivot": pivot,
-                }
-
-            w = _first_witness(bad, describe)
-        else:
-            ks = rng.integers(-shift + 1, shift, size=2 * samples, dtype=np.int64)
-            js = rng.integers(0, pivot, size=2 * samples, dtype=np.int64)
-            ns = ks * pivot + js * shift
-            keep = ns < n_tot
-            ks, js, ns = ks[keep][:samples], js[keep][:samples], ns[keep][:samples]
-            bad = indicator_many(ns, t) != indicator_many(ks * pivot, t)
-            checked += len(ns)
-            w = _first_witness(
-                bad, lambda i: {"k": int(ks[i]), "j": int(js[i]), "pivot": pivot}
-            )
-        if w:
-            return False, checked, w
-    return True, checked, None
+    shift = t.product // pivot
+    ks, js = pos(
+        (-shift + 1, shift), (0, pivot),
+        keep=lambda ks, js: ks * pivot + js * shift < t.product, oversample=2,
+    )
+    bad = ind(ks * pivot + js * shift) != ind(ks * pivot)
+    return _verdict(bad, len(ks), k=ks, j=js, pivot=pivot)
 
 
-def _check_below_multiple(t, ws, rng, samples, mode):
+@_per_case(Triple.as_tuple)
+def _check_below_multiple(t, pivot, ind, pos):
     """ind(k*pivot - j*shift) = 0 for j >= 1, |k| < shift."""
-    n_tot = t.product
-    checked = 0
-    for pivot in t.as_tuple():
-        shift = n_tot // pivot
-        if mode == "exhaustive":
-            ks = np.arange(-shift + 1, shift, dtype=np.int64)
-            js = np.arange(1, pivot, dtype=np.int64)
-            grid = ks[:, None] * pivot - js[None, :] * shift
-            got = indicator_many(grid.ravel(), t)
-            bad = got != 0
-            checked += grid.size
-
-            def describe(i):
-                return {
-                    "k": int(ks[i // len(js)]),
-                    "j": int(js[i % len(js)]),
-                    "pivot": pivot,
-                }
-
-            w = _first_witness(bad, describe)
-        else:
-            ks = rng.integers(-shift + 1, shift, size=samples, dtype=np.int64)
-            js = rng.integers(1, max(pivot, 2), size=samples, dtype=np.int64)
-            bad = indicator_many(ks * pivot - js * shift, t) != 0
-            checked += samples
-            w = _first_witness(
-                bad, lambda i: {"k": int(ks[i]), "j": int(js[i]), "pivot": pivot}
-            )
-        if w:
-            return False, checked, w
-    return True, checked, None
+    shift = t.product // pivot
+    ks, js = pos((-shift + 1, shift), (1, pivot))
+    return _verdict(ind(ks * pivot - js * shift) != 0, len(ks), k=ks, j=js, pivot=pivot)
 
 
 def _threshold_vec(t: Triple, pivot: int, ns: np.ndarray) -> np.ndarray:
@@ -308,378 +271,116 @@ def _threshold_vec(t: Triple, pivot: int, ns: np.ndarray) -> np.ndarray:
     return np.where(rest >= 0, c, c + ab)
 
 
-def _check_threshold_agreement(t, ws, rng, samples, mode):
+@_per_case(Triple.as_tuple)
+def _check_threshold_agreement(t, pivot, ind, pos):
     """Representability agrees with the semigroup threshold for every pivot."""
-    n_tot = t.product
-    checked = 0
-    for pivot in t.as_tuple():
-        if mode == "exhaustive":
-            ns = np.arange(n_tot, dtype=np.int64)
-            ind = ws.ind
-        else:
-            ns = rng.integers(0, n_tot, size=samples, dtype=np.int64)
-            ind = indicator_many(ns, t)
-        reps = _threshold_vec(t, pivot, ns)
-        bad = (reps <= ns // pivot) != (ind == 1)
-        checked += len(ns)
-        w = _first_witness(
-            bad, lambda i: {"n": int(ns[i]), "pivot": pivot, "rep": int(reps[i])}
-        )
-        if w:
-            return False, checked, w
-    return True, checked, None
+    (ns,) = pos((0, t.product))
+    reps = _threshold_vec(t, pivot, ns)
+    bad = (reps <= ns // pivot) != (ind(ns) == 1)
+    return _verdict(bad, len(ns), n=ns, pivot=pivot, rep=reps)
 
 
 def _check_representative_residue(t, ws, rng, samples, mode, s=None):
     """The representative depends only on n mod p*q, across matching triples."""
-    p, q, r = t.p, t.q, t.r
-    pq = p * q
+    p, q, r, pq = t.p, t.q, t.r, t.p * t.q
     s_val = s if s is not None else r % pq
     if s_val < 1 or (s_val - r) % pq != 0:
         raise PreconditionViolated(f"companion offset {s_val} does not match {t}")
-    tc = Triple(p, q, s_val)
-    checked = 0
-    if mode == "exhaustive":
-        ns = np.arange(pq, dtype=np.int64)
-        f_here = _threshold_vec(t, r, ns)
-        bad = f_here != _threshold_vec(tc, s_val, ns)
-        checked += pq
-        w = _first_witness(bad, lambda i: {"n": i, "s": s_val})
-        if w:
-            return False, checked, w
-        for off in (-pq, pq, 2 * pq):
-            bad = _threshold_vec(t, r, ns + off) != f_here
-            checked += pq
-            w = _first_witness(bad, lambda i: {"n": i + off, "s": s_val})
-            if w:
-                return False, checked, w
+    if mode == "exhaustive":  # one period, then the periods around it
+        ns = np.concatenate([np.arange(off, off + pq) for off in (0, -pq, pq, 2 * pq)])
     else:
-        ns = rng.integers(0, t.product, size=samples, dtype=np.int64)
-        bad = _threshold_vec(t, r, ns) != _threshold_vec(tc, s_val, ns % pq)
-        checked += samples
-        w = _first_witness(bad, lambda i: {"n": int(ns[i]), "s": s_val})
-        if w:
-            return False, checked, w
-    return True, checked, None
-
-
-def _hit_near(t, ms, ind_lookup):
-    """Whether an interval pair left of each m contains a multiple n of the
-    third element with ind(n) or ind(n - r) set (the shift-identity escape
-    clause).  Each interval has length p, so it holds up to (p-1)//r + 1
-    multiples; all of them are tested."""
-    p, q, r = t.p, t.q, t.r
-    hit = np.zeros(len(ms), dtype=bool)
-    for anchor in (ms, ms - q):
-        top = anchor // r * r
-        for c in range((p - 1) // r + 1):
-            n = top - c * r
-            hit |= (n > anchor - p) & ((ind_lookup(n) | ind_lookup(n - r)) == 1)
-    return hit
+        (ns,) = _positions(rng, samples, mode, (0, t.product))
+    tc = Triple(p, q, s_val)
+    bad = _threshold_vec(t, r, ns) != _threshold_vec(tc, s_val, ns % pq)
+    return _verdict(bad, len(ns), n=ns, s=s_val)
 
 
 def _check_coeff_shift(t, ws, rng, samples, mode):
-    """a_m = a_{m-pq} unless a multiple of r sits in the two escape windows."""
+    """a_m = a_{m-pq} unless a multiple of r sits in the two escape windows.
+
+    The escape clause: a window (anchor - p, anchor] with anchor m or m - q
+    holds a multiple n of r with ind(n) or ind(n - r) set.  A window of
+    length p holds up to (p-1)//r + 1 multiples; all of them are tested.
+    """
     p, q, r = t.p, t.q, t.r
-    pq = p * q
-    n_tot = t.product
-    if mode == "exhaustive":
-        pad_w = p + q + 2 * r + 2
-        padded = np.zeros(n_tot + pad_w, dtype=np.uint8)
-        padded[pad_w:] = ws.ind
-
-        def lookup(idx):
-            return padded[idx + pad_w]
-
-        ms = np.arange(n_tot, dtype=np.int64)
-        hit = _hit_near(t, ms, lookup)
-        apad = np.zeros(n_tot + pq, dtype=np.int64)
-        apad[pq:] = ws.ext
-        bad = ~hit & (ws.ext != apad[:n_tot])
-        checked = n_tot
-        w = _first_witness(
-            bad, lambda i: {"m": i, "a": int(ws.ext[i]), "a_shift": int(apad[i])}
-        )
-    else:
-        get = _coeff_getter(t)
-        ms = rng.integers(0, n_tot, size=samples, dtype=np.int64)
-        hit = _hit_near(t, ms, lambda idx: indicator_many(idx, t))
-        a_here = get(ms)
-        a_back = get(ms - pq)
-        bad = ~hit & (a_here != a_back)
-        checked = samples
-        w = _first_witness(
-            bad, lambda i: {"m": int(ms[i]), "a": int(a_here[i]), "a_shift": int(a_back[i])}
-        )
-    if w:
-        return False, checked, w
-    return True, checked, None
+    o = _oracles(t, ws, mode)
+    (ms,) = _positions(rng, samples, mode, (0, t.product))
+    hit = np.zeros(len(ms), dtype=bool)
+    for anchor in (ms, ms - q):
+        for c in range((p - 1) // r + 1):
+            n = anchor // r * r - c * r
+            hit |= (n > anchor - p) & ((o.ind(n) | o.ind(n - r)) == 1)
+    a, a_shift = o.coeff(ms), o.coeff(ms - p * q)
+    return _verdict(~hit & (a != a_shift), len(ms), m=ms, a=a, a_shift=a_shift)
 
 
-# ---------------------------------------------------------------------------
-# offset-form checks (third element = p*q + s)
-# ---------------------------------------------------------------------------
-
-
-def _split_sums(t, sigma, ms):
-    """The two window blocks whose sum reproduces a_m in the offset form."""
-    p, q, s, pq = _offset_parameters(t)
-    lo, hi = min(p, q), max(p, q)
-    block1 = (
-        sigma(s, ms)
-        - sigma(s, ms - lo)
-        - sigma(s, ms - hi)
-        + sigma(s, ms - hi - lo)
-    )
-    block2 = (
-        sigma(p, ms - s)
-        - sigma(p, ms - s - pq)
-        - sigma(p, ms - q - s)
-        + sigma(p, ms - q - s - pq)
-    )
-    return block1, block2
+# -- offset-form checks (third element = p*q + s) ----------------------------
 
 
 def _check_window_split(t, ws, rng, samples, mode):
     """a_m equals the two-block window sum in the offset form."""
-    n_tot = t.product
-    if mode == "exhaustive":
-        ms = np.arange(n_tot, dtype=np.int64)
-        sigma = lambda k, pos: _prefix_sigma(ws.prefix, k, pos)
-        b1, b2 = _split_sums(t, sigma, ms)
-        bad = ws.ext != b1 + b2
-        checked = n_tot
-        w = _first_witness(
-            bad,
-            lambda i: {"m": i, "a": int(ws.ext[i]), "blocks": [int(b1[i]), int(b2[i])]},
-        )
-    else:
-        get = _coeff_getter(t)
-        ms = rng.integers(0, n_tot, size=samples, dtype=np.int64)
-        sigma = lambda k, pos: _sigma_many(t, k, pos)
-        b1, b2 = _split_sums(t, sigma, ms)
-        a_here = get(ms)
-        bad = a_here != b1 + b2
-        checked = samples
-        w = _first_witness(
-            bad,
-            lambda i: {
-                "m": int(ms[i]),
-                "a": int(a_here[i]),
-                "blocks": [int(b1[i]), int(b2[i])],
-            },
-        )
-    if w:
-        return False, checked, w
-    return True, checked, None
-
-
-def _eval_correction(t, ms, ind_lookup):
-    """Correction term: +-ind at the unique multiple of r near the windows."""
-    p, q, s, pq = _offset_parameters(t)
-    lo, hi = min(p, q), max(p, q)
-    r = t.r
-    alpha_r = ms // r * r
-    x = ms - s
-    in_near = (alpha_r > x - lo) & (alpha_r <= x)
-    in_far = (alpha_r > x - hi - lo) & (alpha_r <= x - hi)
-    vals = ind_lookup(alpha_r).astype(np.int64)
-    return np.where(in_near, vals, np.where(in_far, -vals, 0))
+    s, o = _offset(t), _oracles(t, ws, mode)
+    (ms,) = _positions(rng, samples, mode, (0, t.product))
+    b1 = _window_sum(o.sigma, s, ms, t.p, t.q)
+    b2 = _window_sum(o.sigma, t.p, ms - s, t.p * t.q, t.q)
+    a = o.coeff(ms)
+    return _verdict(a != b1 + b2, len(ms), m=ms, a=a, blocks=(b1, b2))
 
 
 def _check_window_split_eval(t, ws, rng, samples, mode):
-    """a_m equals the first window block plus a signed one-point correction."""
-    n_tot = t.product
-    if mode == "exhaustive":
-        ms = np.arange(n_tot, dtype=np.int64)
-        sigma = lambda k, pos: _prefix_sigma(ws.prefix, k, pos)
-        b1, _ = _split_sums(t, sigma, ms)
-        corr = _eval_correction(t, ms, lambda idx: ws.ind[idx])
-        bad = ws.ext != b1 + corr
-        checked = n_tot
-        w = _first_witness(
-            bad,
-            lambda i: {"m": i, "a": int(ws.ext[i]), "block": int(b1[i]), "corr": int(corr[i])},
-        )
-    else:
-        get = _coeff_getter(t)
-        ms = rng.integers(0, n_tot, size=samples, dtype=np.int64)
-        sigma = lambda k, pos: _sigma_many(t, k, pos)
-        b1, _ = _split_sums(t, sigma, ms)
-        corr = _eval_correction(t, ms, lambda idx: indicator_many(idx, t))
-        a_here = get(ms)
-        bad = a_here != b1 + corr
-        checked = samples
-        w = _first_witness(
-            bad,
-            lambda i: {
-                "m": int(ms[i]),
-                "a": int(a_here[i]),
-                "block": int(b1[i]),
-                "corr": int(corr[i]),
-            },
-        )
-    if w:
-        return False, checked, w
-    return True, checked, None
+    """a_m equals the first window block plus a signed one-point correction:
+    +-ind at the unique multiple of r near the windows."""
+    s, o = _offset(t), _oracles(t, ws, mode)
+    (ms,) = _positions(rng, samples, mode, (0, t.product))
+    lo, hi = sorted((t.p, t.q))
+    alpha_r, x = ms // t.r * t.r, ms - s
+    in_near = (alpha_r > x - lo) & (alpha_r <= x)
+    in_far = (alpha_r > x - hi - lo) & (alpha_r <= x - hi)
+    vals = o.ind(alpha_r).astype(np.int64)
+    corr = np.where(in_near, vals, np.where(in_far, -vals, 0))
+    b1 = _window_sum(o.sigma, s, ms, t.p, t.q)
+    a = o.coeff(ms)
+    return _verdict(a != b1 + corr, len(ms), m=ms, a=a, block=b1, corr=corr)
 
 
 def _check_companion_transfer(t, ws, rng, samples, mode):
-    """ind(k*r + j) transfers to the companion triple when |j| < s."""
-    tc, s, pq = _companion(t)
-    r = t.r
-    checked = 0
-    if mode == "exhaustive":
-        ks = np.arange(-pq + 1, pq, dtype=np.int64)
-        js = np.arange(-s + 1, s, dtype=np.int64)
-        here = indicator_many((ks[:, None] * r + js[None, :]).ravel(), t)
-        there = indicator_many((ks[:, None] * s + js[None, :]).ravel(), tc)
-        bad = here != there
-        checked = here.size
-        w = _first_witness(
-            bad,
-            lambda i: {"k": int(ks[i // len(js)]), "j": int(js[i % len(js)])},
-        )
-    else:
-        ks = rng.integers(-pq + 1, pq, size=samples, dtype=np.int64)
-        js = rng.integers(-s + 1, s, size=samples, dtype=np.int64)
-        bad = indicator_many(ks * r + js, t) != indicator_many(ks * s + js, tc)
-        checked = samples
-        w = _first_witness(bad, lambda i: {"k": int(ks[i]), "j": int(js[i])})
-    if w:
-        return False, checked, w
-    return True, checked, None
+    """ind(k*r + j) transfers to the companion triple {p, q, s} when |j| < s."""
+    s, pq = _offset(t), t.p * t.q
+    ind = _oracles(t, ws, mode).ind
+    ind_c = _oracles(Triple(t.p, t.q, s), None, mode).ind
+    ks, js = _positions(rng, samples, mode, (-pq + 1, pq), (-s + 1, s))
+    return _verdict(ind(ks * t.r + js) != ind_c(ks * s + js), len(ks), k=ks, j=js)
 
 
 def _check_offset_period(t, ws, rng, samples, mode):
     """ind(k*r + j + beta*pq) = ind(k*r + j) for 0 < |j| < s, |beta| <= pq//s."""
-    _, s, pq = _companion(t)
-    r = t.r
-    n_tot = t.product
-    beta_max = pq // s
+    s, pq, r = _offset(t), t.p * t.q, t.r
     if s == 1:
         return True, 0, None  # no admissible j
-    if mode == "exhaustive":
-        ks = np.arange(-pq + 1, pq, dtype=np.int64)
-        js = np.concatenate(
-            [np.arange(-s + 1, 0, dtype=np.int64), np.arange(1, s, dtype=np.int64)]
-        )
-        base = (ks[:, None] * r + js[None, :]).ravel()
-        here = indicator_many(base, t)
-        checked = 0
-        for beta in range(-beta_max, beta_max + 1):
-            if beta == 0:
-                continue
-            moved = base + beta * pq
-            valid = moved < n_tot
-            bad = indicator_many(moved[valid], t) != here[valid]
-            checked += int(valid.sum())
-            if bad.any():
-                pos = np.flatnonzero(valid)[np.flatnonzero(bad)[0]]
-                return False, checked, {
-                    "k": int(ks[pos // len(js)]),
-                    "j": int(js[pos % len(js)]),
-                    "beta": beta,
-                }
-        return True, checked, None
-    drawn = _sample_filtered(
-        rng,
-        lambda size: (
-            rng.integers(-pq + 1, pq, size=size, dtype=np.int64),
-            rng.integers(-s + 1, s, size=size, dtype=np.int64),
-            rng.integers(-beta_max, beta_max + 1, size=size, dtype=np.int64),
-        ),
-        lambda ks, js, bs: (js != 0) & (ks * r + js + bs * pq < n_tot),
-        samples,
+    ks, js, bs = _shift_positions(
+        rng, samples, mode, ((-pq + 1, pq), (-s + 1, s), (-(pq // s), pq // s + 1)),
+        lambda ks, js, bs: (js != 0) & (ks * r + js + bs * pq < t.product),
+        min_beta=1,
     )
-    if drawn is None:
-        return True, 0, None
-    ks, js, bs = drawn
-    bad = indicator_many(ks * r + js + bs * pq, t) != indicator_many(ks * r + js, t)
-    w = _first_witness(
-        bad, lambda i: {"k": int(ks[i]), "j": int(js[i]), "beta": int(bs[i])}
-    )
-    if w:
-        return False, len(ks), w
-    return True, len(ks), None
+    ind = _oracles(t, ws, mode).ind
+    bad = ind(ks * r + js + bs * pq) != ind(ks * r + js)
+    return _verdict(bad, len(ks), k=ks, j=js, beta=bs)
 
 
 def _check_companion_window(t, ws, rng, samples, mode):
     """Shifted window counts agree between the triple and its companion."""
-    tc, s, pq = _companion(t)
-    r = t.r
-    n_tot = t.product
-    beta_max = pq // s
-    if mode == "exhaustive":
-        prefix_c = np.zeros(tc.product + 1, dtype=np.int64)
-        np.cumsum(indicator_range(tc, tc.product), out=prefix_c[1:])
-        ks = np.arange(-pq + 1, pq, dtype=np.int64)
-        gs = np.arange(s, dtype=np.int64)
-        comp_pos = (ks[:, None] * s + gs[None, :]).ravel()
-        ind_comp = indicator_many((ks * s), tc).repeat(s)
-        mid = _prefix_sigma(prefix_c, s, comp_pos) - ind_comp
-        rhs = _prefix_sigma(prefix_c, s, comp_pos - pq)
-        bad = mid != rhs
-        checked = comp_pos.size
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            return False, checked, {
-                "k": int(ks[i // s]),
-                "gamma": int(gs[i % s]),
-                "side": "companion",
-            }
-        main_base = (ks[:, None] * r + gs[None, :]).ravel()
-        anchor_pos = ks * r
-        for beta in range(-beta_max, beta_max + 1):
-            pos = main_base + beta * pq
-            valid = pos < n_tot
-            lhs = _prefix_sigma(ws.prefix, s, pos[valid]) - indicator_many(
-                (anchor_pos + beta * pq).repeat(s)[valid], t
-            )
-            bad = lhs != mid[valid]
-            checked += int(valid.sum())
-            if bad.any():
-                i = int(np.flatnonzero(valid)[np.flatnonzero(bad)[0]])
-                return False, checked, {
-                    "k": int(ks[i // s]),
-                    "gamma": int(gs[i % s]),
-                    "beta": beta,
-                }
-        return True, checked, None
-    drawn = _sample_filtered(
-        rng,
-        lambda size: (
-            rng.integers(-pq + 1, pq, size=size, dtype=np.int64),
-            rng.integers(0, s, size=size, dtype=np.int64),
-            rng.integers(-beta_max, beta_max + 1, size=size, dtype=np.int64),
-        ),
-        lambda ks, gs, bs: ks * r + gs + bs * pq < n_tot,
-        samples,
+    s, pq, r = _offset(t), t.p * t.q, t.r
+    ks, gs, bs = _shift_positions(
+        rng, samples, mode, ((-pq + 1, pq), (0, s), (-(pq // s), pq // s + 1)),
+        lambda ks, gs, bs: ks * r + gs + bs * pq < t.product,
     )
-    if drawn is None:
-        return True, 0, None
-    ks, gs, bs = drawn
-    lhs = _sigma_many(t, s, ks * r + gs + bs * pq) - indicator_many(ks * r + bs * pq, t)
-    mid = _sigma_many(tc, s, ks * s + gs) - indicator_many(ks * s, tc)
-    rhs = _sigma_many(tc, s, ks * s + gs - pq)
+    o, oc = _oracles(t, ws, mode), _oracles(Triple(t.p, t.q, s), None, mode)
+    lhs = o.sigma(s, ks * r + gs + bs * pq) - o.ind(ks * r + bs * pq)
+    mid = oc.sigma(s, ks * s + gs) - oc.ind(ks * s)
+    rhs = oc.sigma(s, ks * s + gs - pq)
     bad = (lhs != mid) | (mid != rhs)
-    w = _first_witness(
-        bad,
-        lambda i: {
-            "k": int(ks[i]),
-            "gamma": int(gs[i]),
-            "beta": int(bs[i]),
-            "sums": [int(lhs[i]), int(mid[i]), int(rhs[i])],
-        },
-    )
-    if w:
-        return False, len(ks), w
-    return True, len(ks), None
+    return _verdict(bad, len(ks), k=ks, gamma=gs, beta=bs, sums=(lhs, mid, rhs))
 
-
-# ---------------------------------------------------------------------------
-# registry and entry points
-# ---------------------------------------------------------------------------
 
 GENERIC_CHECKS: dict[str, object] = {
     "second-difference": _check_second_difference,
@@ -714,14 +415,8 @@ def _resolve_mode(t: Triple, mode: str) -> str:
 
 
 def verify_identity(
-    check_id: str,
-    t: Triple,
-    *,
-    samples: int = 10_000,
-    seed: int = 0,
-    mode: str = "auto",
-    s: int | None = None,
-    _workspace: _Workspace | None = None,
+    check_id: str, t: Triple, *, samples: int = 10_000, seed: int = 0,
+    mode: str = "auto", s: int | None = None, _workspace: _Workspace | None = None,
 ) -> VerificationReport:
     """Run one pointwise identity check and wrap the outcome in a report."""
     if check_id not in IDENTITY_CHECKS:
@@ -729,33 +424,21 @@ def verify_identity(
     if not t.is_ternary():
         raise PreconditionViolated(f"identity checks need a ternary triple, got {t}")
     run_mode = _resolve_mode(t, mode)
-    ws = None
-    if run_mode == "exhaustive":
-        ws = _workspace if _workspace is not None else _Workspace(t)
-    rng = np.random.default_rng(seed)
-    fn = IDENTITY_CHECKS[check_id]
     if s is not None and check_id != "representative-residue":
         raise PreconditionViolated(f"{check_id} does not take a companion offset")
     kwargs = {"s": s} if check_id == "representative-residue" else {}
-    passed, checked, witness = fn(t, ws, rng, samples, run_mode, **kwargs)
+    passed, checked, witness = IDENTITY_CHECKS[check_id](
+        t, _workspace, np.random.default_rng(seed), samples, run_mode, **kwargs
+    )
     return VerificationReport(
-        check_id=check_id,
-        instance=t.as_tuple(),
-        passed=passed,
-        mode=run_mode,
-        checked=checked,
-        witness=witness,
+        check_id, t.as_tuple(), passed, run_mode, checked, witness,
         seed=seed if run_mode == "sampled" else None,
     )
 
 
 def verify_identity_bundle(
-    t: Triple,
-    check_ids: tuple[str, ...] | None = None,
-    *,
-    samples: int = 10_000,
-    seed: int = 0,
-    mode: str = "auto",
+    t: Triple, check_ids: tuple[str, ...] | None = None, *,
+    samples: int = 10_000, seed: int = 0, mode: str = "auto",
 ) -> list[VerificationReport]:
     """Run several checks on one triple, sharing the exhaustive workspace."""
     ids = check_ids if check_ids is not None else tuple(IDENTITY_CHECKS)

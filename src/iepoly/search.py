@@ -18,6 +18,7 @@ from math import gcd
 from typing import Iterator
 
 from ._version import __version__
+from .arith import enumerate_coprime_pairs
 from .checks import bounded_height_sup
 from .errors import IEPolyError, InvalidParameters, PersistenceError
 from .height import height
@@ -76,18 +77,6 @@ def enumerate_coprime_triples(
             for r in range(max(r_lo, q + 1), r_hi + 1):
                 if gcd(r, p) == 1 and gcd(r, q) == 1:
                     yield Triple(p, q, r)
-
-
-def enumerate_coprime_pairs(
-    p_max: int, q_max: int, *, coprime_to: int = 1, p_min: int = 3
-) -> Iterator[tuple[int, int]]:
-    """Coprime pairs p < q within bounds, both coprime to an extra modulus."""
-    for p in range(p_min, p_max + 1):
-        if gcd(p, coprime_to) != 1:
-            continue
-        for q in range(p + 1, q_max + 1):
-            if gcd(p, q) == 1 and gcd(q, coprime_to) == 1:
-                yield p, q
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +271,25 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
 # ---------------------------------------------------------------------------
 
 
-def find_bound_attained_pairs(s: int, p_max: int, q_max: int | None = None) -> dict:
-    """Coprime pairs with the height at p*q + s exactly equal to s."""
+def _scan_pairs(s: int, p_max: int, q_max: int, target: int) -> dict:
+    """Height at p*q + s for every coprime pair coprime to s, and the pairs
+    where it equals target."""
     if s < 1:
         raise InvalidParameters("offset must be at least 1")
-    q_max = p_max if q_max is None else q_max
     records = []
     pairs = []
     for p, q in enumerate_coprime_pairs(p_max, q_max, coprime_to=s):
         val = height(Triple(p, q, p * q + s)).height
         records.append({"p": p, "q": q, "r": p * q + s, "height": val})
-        if val == s:
+        if val == target:
             pairs.append((p, q))
-    return {"s": s, "pairs": pairs, "checked": len(records), "records": records}
+    return {"pairs": pairs, "checked": len(records), "records": records}
+
+
+def find_bound_attained_pairs(s: int, p_max: int, q_max: int | None = None) -> dict:
+    """Coprime pairs with the height at p*q + s exactly equal to s."""
+    q_max = p_max if q_max is None else q_max
+    return {"s": s, **_scan_pairs(s, p_max, q_max, target=s)}
 
 
 def find_sharp_step_pairs(s: int, p_max: int) -> dict:
@@ -304,22 +299,11 @@ def find_sharp_step_pairs(s: int, p_max: int) -> dict:
     if s < 1:
         raise InvalidParameters("offset must be at least 1")
     sup, attained = bounded_height_sup(s, p_max)
-    exact = s in KNOWN_SUP and sup == KNOWN_SUP[s]
-    target = sup + 1
-    records = []
-    pairs = []
-    for p, q in enumerate_coprime_pairs(p_max, p_max, coprime_to=s):
-        val = height(Triple(p, q, p * q + s)).height
-        records.append({"p": p, "q": q, "r": p * q + s, "height": val})
-        if val == target:
-            pairs.append((p, q))
     return {
         "s": s,
         "sup_lower_bound": sup,
         "sup_attained_at": attained,
-        "target": target,
-        "conditional": not exact,
-        "pairs": pairs,
-        "checked": len(records),
-        "records": records,
+        "target": sup + 1,
+        "conditional": not (s in KNOWN_SUP and sup == KNOWN_SUP[s]),
+        **_scan_pairs(s, p_max, p_max, target=sup + 1),
     }

@@ -1,21 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from iepoly.arith import in_semigroup, least_nonneg_residue, mod_inverse
+from iepoly.arith import in_semigroup, mod_inverse
 from iepoly.errors import InvalidParameters, NotInvertible
 
 from helpers import brute_in_semigroup
-
-
-def test_least_nonneg_residue_basic():
-    assert least_nonneg_residue(17, 5) == 2
-    assert least_nonneg_residue(-1, 5) == 4
-    assert least_nonneg_residue(0, 7) == 0
-
-
-@given(st.integers(-10**9, 10**9), st.integers(1, 10**6), st.integers(-50, 50))
-def test_residue_translation_invariant(n, m, k):
-    assert least_nonneg_residue(n + k * m, m) == least_nonneg_residue(n, m)
 
 
 def test_mod_inverse():

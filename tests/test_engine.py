@@ -1,7 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import iepoly
 from iepoly.engine import (
     CoefficientVector,
     coefficient_at,
@@ -15,6 +21,7 @@ from iepoly.errors import (
     DomainExceeded,
     InvalidParameters,
     InvalidTriple,
+    InvariantViolated,
 )
 from iepoly.represent import Triple
 
@@ -116,8 +123,22 @@ def test_structural_invariants():
 def test_validate_catches_corruption():
     vec = coeffs_series(Triple(3, 5, 7))
     vec.coeffs[3] += 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolated):
         vec.validate()
+
+
+def test_validate_survives_optimize_flag():
+    # explicit raises, so python -O keeps the self-checks
+    code = (
+        "from iepoly import InvariantViolated, Triple, coeffs_series\n"
+        "vec = coeffs_series(Triple(3, 5, 7))\n"
+        "vec.coeffs[3] += 1\n"
+        "try:\n    vec.validate()\nexcept InvariantViolated:\n    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(pathlib.Path(iepoly.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 def test_degree_cap():

@@ -109,6 +109,10 @@ def test_planted_violation_is_caught():
     assert failed, "corrupted indicator went unnoticed"
     for rep in failed:
         assert rep.witness is not None
+    # exhaustive mode reads the shared table, so the period check sees the flip
+    by_id = {rep.check_id: rep for rep in failed}
+    assert "multiple-period" in by_id, "exhaustive multiple-period ignored the workspace"
+    assert by_id["multiple-period"].witness == {"k": -15, "j": 1, "pivot": 3}
 
 
 def test_witness_payload_decodes():
