@@ -274,8 +274,6 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
 def _scan_pairs(s: int, p_max: int, q_max: int, target: int) -> dict:
     """Height at p*q + s for every coprime pair coprime to s, and the pairs
     where it equals target."""
-    if s < 1:
-        raise InvalidParameters("offset must be at least 1")
     records = []
     pairs = []
     for p, q in enumerate_coprime_pairs(p_max, q_max, coprime_to=s):
@@ -288,6 +286,8 @@ def _scan_pairs(s: int, p_max: int, q_max: int, target: int) -> dict:
 
 def find_bound_attained_pairs(s: int, p_max: int, q_max: int | None = None) -> dict:
     """Coprime pairs with the height at p*q + s exactly equal to s."""
+    if s < 1:
+        raise InvalidParameters("offset must be at least 1")
     q_max = p_max if q_max is None else q_max
     return {"s": s, **_scan_pairs(s, p_max, q_max, target=s)}
 
@@ -299,11 +299,13 @@ def find_sharp_step_pairs(s: int, p_max: int) -> dict:
     if s < 1:
         raise InvalidParameters("offset must be at least 1")
     sup, attained = bounded_height_sup(s, p_max)
+    exact = s in KNOWN_SUP and sup == KNOWN_SUP[s]
+    target = sup + 1
     return {
         "s": s,
         "sup_lower_bound": sup,
         "sup_attained_at": attained,
-        "target": sup + 1,
-        "conditional": not (s in KNOWN_SUP and sup == KNOWN_SUP[s]),
-        **_scan_pairs(s, p_max, p_max, target=sup + 1),
+        "target": target,
+        "conditional": not exact,
+        **_scan_pairs(s, p_max, p_max, target),
     }
