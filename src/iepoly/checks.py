@@ -332,22 +332,19 @@ def recursive_bound_sweep(
     of how often the upper step is attained versus exact equality."""
     reports: list[VerificationReport] = []
     tally = {"instances": 0, "equal": 0, "plus-one": 0, "failed": 0}
-    for p in range(p_min, q_max + 1):
-        for q in range(p + 1, q_max + 1):
-            if gcd(p, q) != 1:
+    for p, q in enumerate_coprime_pairs(q_max, q_max, p_min=p_min):
+        pq = p * q
+        for s in range(1, q):
+            if gcd(s, pq) != 1:
                 continue
-            pq = p * q
-            for s in range(1, q):
-                if gcd(s, pq) != 1:
-                    continue
-                for sign in (1, -1):
-                    rep = verify_recursive_bound(p, q, s, pq + sign * s)
-                    tally["instances"] += 1
-                    if not rep.passed:
-                        tally["failed"] += 1
-                    elif rep.detail.endswith("(plus-one)"):
-                        tally["plus-one"] += 1
-                    else:
-                        tally["equal"] += 1
-                    reports.append(rep)
+            for sign in (1, -1):
+                rep = verify_recursive_bound(p, q, s, pq + sign * s)
+                tally["instances"] += 1
+                if not rep.passed:
+                    tally["failed"] += 1
+                elif rep.detail.endswith("(plus-one)"):
+                    tally["plus-one"] += 1
+                else:
+                    tally["equal"] += 1
+                reports.append(rep)
     return reports, tally

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .height import height
 from .represent import Triple
-from .search import SearchTask, find_bound_attained_pairs, find_sharp_step_pairs, sweep_heights
+from .search import SEARCH_KINDS, SearchTask, sweep_heights
 
 # whole-polynomial checks: positional parameter order, the checks function
 # (looked up by name at call time) and the options it takes from the CLI
@@ -67,14 +67,7 @@ def _cmd_coeffs(args) -> int:
     if args.engine in (ENGINE_WINDOW, "both"):
         window = coeffs_window(t, cap=_cap_from(args))
         if args.half:
-            half_len = window.degree // 2 + 1
-            window = type(window)(
-                triple=window.triple,
-                degree=window.degree,
-                coeffs=window.coeffs[:half_len],
-                engine=window.engine,
-                half=True,
-            )
+            window = window.lower_half()
     if series is not None and window is not None:
         if not np.array_equal(series.coeffs, window.coeffs):
             where = int(np.flatnonzero(series.coeffs != window.coeffs)[0])
@@ -86,23 +79,18 @@ def _cmd_coeffs(args) -> int:
             return 1
     vec = series if series is not None else window
 
-    if args.format == "bin":
-        if args.out:
-            with open(args.out, "wb") as fh:
-                serialize.write_binary(vec, fh)
-        else:
-            serialize.write_binary(vec, sys.stdout.buffer)
-        return 0
-    writer = {
-        "text": serialize.write_text,
-        "csv": serialize.write_csv,
-        "json": serialize.write_json,
+    # built per call from module attributes, so patched writers are used
+    writer, binary = {
+        "text": (serialize.write_text, False),
+        "csv": (serialize.write_csv, False),
+        "json": (serialize.write_json, False),
+        "bin": (serialize.write_binary, True),
     }[args.format]
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "wb" if binary else "w") as fh:
             writer(vec, fh)
     else:
-        writer(vec, sys.stdout)
+        writer(vec, sys.stdout.buffer if binary else sys.stdout)
     return 0
 
 
@@ -267,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("search", help="run a persisted parameter sweep")
-    sp.add_argument("kind", choices=("height-sweep", "flat-hunt", "bound-attained", "sharp-step"))
+    sp.add_argument("kind", choices=SEARCH_KINDS)
     sp.add_argument("bounds", nargs="+", metavar="BOUND",
                     help="per-slot bound, either HI (lower bound 3) or LO:HI")
     sp.add_argument("--s", type=int, default=None)

@@ -18,7 +18,7 @@ agreement a meaningful check.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +70,17 @@ class CoefficientVector:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+    @staticmethod
+    def stored_length(degree: int, half: bool) -> int:
+        """Entries stored for a vector of this degree: a_0..a_{degree//2}
+        when half, else all degree + 1."""
+        return degree // 2 + 1 if half else degree + 1
+
+    def lower_half(self) -> CoefficientVector:
+        """The same polynomial storing only its lower half, as a view."""
+        n = self.stored_length(self.degree, True)
+        return replace(self, coeffs=self.coeffs[:n], half=True)
 
     def full_coeffs(self) -> np.ndarray:
         """The complete vector; mirrors the stored half when needed."""
@@ -148,9 +159,8 @@ def coeffs_series(
     limit = resolve_degree_cap(cap)
     if deg > limit:
         raise DegreeCapExceeded(deg, limit)
-    length = deg // 2 + 1 if mode == "half" else deg + 1
     p, q, r = t.p, t.q, t.r
-    c = np.zeros(length, dtype=np.int64)
+    c = np.zeros(CoefficientVector.stored_length(deg, mode == "half"), dtype=np.int64)
     c[0] = 1
     for a in (p, q, r, p * q * r):
         _multiply_factor(c, a)
@@ -163,14 +173,12 @@ def coeffs_series(
     )
 
 
-def coeffs_window(
-    t: Triple, cap: int | None = None, window: int | None = None
-) -> CoefficientVector:
+def coeffs_window(t: Triple, cap: int | None = None) -> CoefficientVector:
     """Coefficient vector via representability window counts.
 
     a_m is an alternating sum of four length-u window counts, where u is
-    the window element (smallest by default; any element gives the same
-    vector).  Only fully ternary triples are supported here.
+    the smallest element (any element gives the same vector).  Only fully
+    ternary triples are supported here.
     """
     if not t.is_ternary():
         raise InvalidTriple(f"window engine needs all elements >= 3, got {t}")
@@ -178,11 +186,7 @@ def coeffs_window(
     limit = resolve_degree_cap(cap)
     if deg > limit:
         raise DegreeCapExceeded(deg, limit)
-    if window is None:
-        u, v, w = t.sorted()
-    else:
-        u = window
-        v, w = t.others(u)
+    u, v, w = t.sorted()
     ind = indicator_range(t, deg + 1)
     prefix = np.zeros(deg + 2, dtype=np.int64)
     np.cumsum(ind, out=prefix[1:])

@@ -17,7 +17,7 @@ check and is reported with the witnessing index tuple.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property, partial, wraps
+from functools import cached_property, partial, wraps
 from itertools import combinations
 
 import numpy as np
@@ -39,7 +39,8 @@ _CHUNK = 1 << 22
 
 
 class _Workspace:
-    """Tables behind the exhaustive oracles for one triple."""
+    """Tables behind the exhaustive oracles for one triple, and the series
+    vector behind the sampled coefficient oracle; each built on first use."""
 
     def __init__(self, t: Triple):
         self.t = t
@@ -57,11 +58,14 @@ class _Workspace:
         return out
 
     @cached_property
+    def series(self) -> np.ndarray:
+        return coeffs_series(self.t).coeffs
+
+    @cached_property
     def ext(self) -> np.ndarray:
         # a_m over [0, product): engine coefficients then the zero tail
-        deg = degree(self.t)
         out = np.zeros(self.n, dtype=np.int64)
-        out[: deg + 1] = coeffs_series(self.t).coeffs
+        out[: len(self.series)] = self.series
         return out
 
 
@@ -86,15 +90,14 @@ def _sigma_many(t: Triple, k: int, ms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coeff_getter(t: Triple):
-    """a_m lookup for sampled positions; 0 outside [0, degree].  The series
-    vector is computed on first use."""
-    deg = degree(t)
+def _coeff_getter(ws: _Workspace):
+    """a_m lookup for sampled positions; 0 outside [0, degree].  Reads the
+    workspace's series vector, which one bundle computes once."""
+    t, deg = ws.t, degree(ws.t)
     if deg > _SERIES_SAMPLING_LIMIT:
         u, v, w = t.sorted()
         return lambda ms: _window_sum(partial(_sigma_many, t), u, ms, v, w)
-    vec = cache(lambda: coeffs_series(t).coeffs)
-    return lambda ms: np.where((ms >= 0) & (ms <= deg), vec()[np.clip(ms, 0, deg)], 0)
+    return lambda ms: np.where((ms >= 0) & (ms <= deg), ws.series[np.clip(ms, 0, deg)], 0)
 
 
 def _window_sum(sigma, k: int, ms: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -111,15 +114,15 @@ _Oracles = namedtuple("_Oracles", "ind sigma coeff")
 
 
 def _oracles(t: Triple, ws: _Workspace | None, mode: str) -> _Oracles:
-    """Oracles of t: read from the workspace tables (a fresh workspace when
-    none is given) in exhaustive mode, evaluated directly when sampled."""
+    """Oracles of t (a fresh workspace when none is given): read from the
+    workspace tables in exhaustive mode, evaluated directly when sampled."""
+    ws = ws or _Workspace(t)
     if mode == "sampled":
         return _Oracles(
             lambda ns: indicator_many(ns, t),
             lambda k, ms: _sigma_many(t, k, ms),
-            _coeff_getter(t),
+            _coeff_getter(ws),
         )
-    ws = ws or _Workspace(t)
     return _Oracles(
         lambda ns: _lookup(ws.ind, ns),
         lambda k, ms: _prefix_sigma(ws.prefix, k, ms),
@@ -440,9 +443,9 @@ def verify_identity_bundle(
     t: Triple, check_ids: tuple[str, ...] | None = None, *,
     samples: int = 10_000, seed: int = 0, mode: str = "auto",
 ) -> list[VerificationReport]:
-    """Run several checks on one triple, sharing the exhaustive workspace."""
+    """Run several checks on one triple, sharing one workspace."""
     ids = check_ids if check_ids is not None else tuple(IDENTITY_CHECKS)
-    ws = _Workspace(t) if _resolve_mode(t, mode) == "exhaustive" else None
+    ws = _Workspace(t)
     return [
         verify_identity(cid, t, samples=samples, seed=seed, mode=mode, _workspace=ws)
         for cid in ids

@@ -70,13 +70,12 @@ def enumerate_coprime_triples(
     """All pairwise-coprime p < q < r within inclusive per-slot bounds,
     in lexicographic order."""
     (p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi) = ranges
-    for p in range(max(p_lo, 3), p_hi + 1):
-        for q in range(max(q_lo, p + 1), q_hi + 1):
-            if gcd(p, q) != 1:
-                continue
-            for r in range(max(r_lo, q + 1), r_hi + 1):
-                if gcd(r, p) == 1 and gcd(r, q) == 1:
-                    yield Triple(p, q, r)
+    for p, q in enumerate_coprime_pairs(p_hi, q_hi, p_min=max(p_lo, 3)):
+        if q < q_lo:
+            continue
+        for r in range(max(r_lo, q + 1), r_hi + 1):
+            if gcd(r, p) == 1 and gcd(r, q) == 1:
+                yield Triple(p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +159,6 @@ def _read_complete_lines(path: str) -> tuple[list[dict], int]:
     """Parsed records of every newline-terminated line, plus the byte offset
     where the last complete line ends (a trailing partial line is ignored)."""
     records = []
-    offset = 0
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -174,8 +172,7 @@ def _read_complete_lines(path: str) -> tuple[list[dict], int]:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise PersistenceError(f"malformed line in {path}: {exc}") from exc
-    offset = end
-    return records, offset
+    return records, end
 
 
 def read_results(path: str) -> list[dict]:
@@ -193,30 +190,53 @@ class SweepSummary:
     solutions: list = field(default_factory=list)
 
 
-def _write_manifest(task: SearchTask, out: str) -> None:
-    manifest = {
+def _manifest(task: SearchTask) -> dict:
+    return {
         "format": "iepoly-sweep",
         "version": 1,
         "task": task.describe(),
         "seed": None,
         "package_version": __version__,
     }
-    with open(out + MANIFEST_SUFFIX, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=False)
+
+
+def _write_manifest(task: SearchTask, out: str) -> None:
+    """Write the manifest beside `out` atomically: a kill leaves the old or
+    the new one, never a torn file."""
+    tmp = out + MANIFEST_SUFFIX + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(_manifest(task), fh, indent=2, sort_keys=False)
         fh.write("\n")
+    os.replace(tmp, out + MANIFEST_SUFFIX)
+
+
+def _check_manifest(task: SearchTask, path: str) -> None:
+    """A manifest beside a resume file must be this task's.  Without one,
+    only the key-prefix check in sweep_heights guards the resume."""
+    try:
+        with open(path + MANIFEST_SUFFIX) as fh:
+            found = json.load(fh)
+    except FileNotFoundError:
+        return
+    except (OSError, ValueError) as exc:
+        raise PersistenceError(f"unreadable manifest beside {path}: {exc}") from exc
+    if found != _manifest(task):
+        raise PersistenceError(f"{path}: its manifest records another task or package version")
 
 
 def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
     """Run a search task, appending one JSON line per key to `out`.
 
     With task.resume_from set, complete lines of that file are trusted,
-    verified to be the exact prefix of this task's key sequence, and not
+    verified to be the exact prefix of this task's key sequence (and, when
+    a manifest sits beside it, to come from this very task), and not
     recomputed; a trailing partial line is truncated away.  The final file
     is byte-identical to an uninterrupted single-worker run.
     """
     keys, compute = _task_items(task)
     done = 0
     if task.resume_from is not None and os.path.exists(task.resume_from):
+        _check_manifest(task, task.resume_from)
         prior, offset = _read_complete_lines(task.resume_from)
         for i, rec in enumerate(prior):
             if i >= len(keys) or tuple(rec.get("key", ())) != keys[i]:

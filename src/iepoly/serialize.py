@@ -3,19 +3,22 @@
 Every format carries the same versioned header: the triple, the degree,
 the engine that produced the vector, and whether only the lower half is
 stored.  CSV and text are line-oriented; the binary form is the header
-followed by little-endian signed 64-bit coefficients.
+followed by little-endian signed 64-bit coefficients.  Readers only decode;
+one function checks that the header agrees with itself and with the
+payload, so every malformed or inconsistent file raises PersistenceError.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from functools import wraps
 from typing import IO
 
 import numpy as np
 
-from .engine import CoefficientVector
-from .errors import PersistenceError
+from .engine import ENGINE_SERIES, ENGINE_WINDOW, CoefficientVector, degree
+from .errors import IEPolyError, PersistenceError
 from .represent import Triple
 
 FORMAT_NAME = "iepoly-coeffs"
@@ -23,17 +26,8 @@ FORMAT_VERSION = 1
 
 _MAGIC = b"IEPC"
 _BIN_HEADER = struct.Struct("<4sH6q8s")  # magic, version, p,q,r,degree,count,half, engine
-
-
-def _expected_length(degree: int, half: bool) -> int:
-    return degree // 2 + 1 if half else degree + 1
-
-
-def _check_length(vec_len: int, degree: int, half: bool) -> None:
-    if vec_len != _expected_length(degree, half):
-        raise PersistenceError(
-            f"coefficient count {vec_len} does not match degree {degree} (half={half})"
-        )
+_CSV_COLUMNS = "index,coefficient"
+_ROW_CHUNK = 1 << 16  # rows formatted per write; bounds the writers' memory
 
 
 def header_dict(vec: CoefficientVector) -> dict:
@@ -49,137 +43,129 @@ def header_dict(vec: CoefficientVector) -> dict:
     }
 
 
+def _vector(header: dict, coeffs) -> CoefficientVector:
+    """The vector a decoded header and payload describe, once the header
+    agrees with itself and with the payload."""
+    if header["format"] != FORMAT_NAME or header["version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported record {header['format']!r} v{header['version']!r}")
+    t = Triple(header["p"], header["q"], header["r"])
+    deg, engine, half = header["degree"], header["engine"], header["half"]
+    if deg != degree(t):
+        raise ValueError(f"degree {deg!r} is not the degree {degree(t)} of {t}")
+    if engine not in (ENGINE_SERIES, ENGINE_WINDOW):
+        raise ValueError(f"unknown engine {engine!r}")
+    if not isinstance(half, bool):
+        raise ValueError(f"half flag {half!r} is not a boolean")
+    coeffs = np.asarray(coeffs)
+    if coeffs.dtype.kind != "i":
+        raise ValueError(f"coefficients must be 64-bit integers, not {coeffs.dtype}")
+    if coeffs.ndim != 1 or len(coeffs) != CoefficientVector.stored_length(deg, half):
+        raise ValueError(f"{coeffs.size} coefficients do not fit degree {deg} (half={half})")
+    coeffs = coeffs.astype(np.int64, copy=False)
+    return CoefficientVector(triple=t, degree=degree(t), coeffs=coeffs, engine=engine, half=half)
+
+
+def _reader(decode):
+    """A public reader from `decode(fp)`, which only decodes a header dict
+    and the coefficients: `_vector` checks them, and every failure on the
+    way becomes a PersistenceError."""
+
+    @wraps(decode)
+    def read(fp) -> CoefficientVector:
+        try:
+            return _vector(*decode(fp))
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+        except (KeyError, TypeError, ValueError, OverflowError, IEPolyError) as exc:
+            raise PersistenceError(
+                f"malformed coefficient record: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return read
+
+
 def write_json(vec: CoefficientVector, fp: IO[str]) -> None:
     obj = header_dict(vec)
-    obj["coeffs"] = [int(v) for v in vec.coeffs]
+    obj["coeffs"] = vec.coeffs.tolist()
     json.dump(obj, fp, separators=(",", ":"))
     fp.write("\n")
 
 
-def read_json(fp: IO[str]) -> CoefficientVector:
-    try:
-        obj = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(f"not a coefficient record: {exc}") from exc
-    try:
-        if obj["format"] != FORMAT_NAME or obj["version"] != FORMAT_VERSION:
-            raise PersistenceError(f"unsupported record {obj.get('format')!r}")
-        t = Triple(obj["p"], obj["q"], obj["r"])
-        coeffs = np.asarray(obj["coeffs"], dtype=np.int64)
-        vec = CoefficientVector(
-            triple=t,
-            degree=obj["degree"],
-            coeffs=coeffs,
-            engine=obj["engine"],
-            half=bool(obj["half"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"malformed JSON coefficient record: {exc}") from exc
-    _check_length(len(coeffs), vec.degree, vec.half)
-    return vec
+@_reader
+def read_json(fp: IO[str]):
+    obj = json.load(fp)
+    return obj, obj["coeffs"]
 
 
-def _header_line(vec: CoefficientVector) -> str:
+def _write_rows(vec: CoefficientVector, fp: IO[str], sep: str, *column_line: str) -> None:
+    """Header line, optional column line, then one 'index<sep>coefficient' row
+    per stored entry."""
     h = header_dict(vec)
     parts = " ".join(f"{k}={h[k]}" for k in ("p", "q", "r", "degree", "engine", "half"))
-    return f"# {FORMAT_NAME} v{FORMAT_VERSION} {parts}"
+    for line in (f"# {FORMAT_NAME} v{FORMAT_VERSION} {parts}", *column_line):
+        fp.write(line + "\n")
+    for start in range(0, len(vec.coeffs), _ROW_CHUNK):
+        chunk = vec.coeffs[start : start + _ROW_CHUNK].tolist()
+        fp.write("".join(f"{m}{sep}{v}\n" for m, v in enumerate(chunk, start)))
 
 
 def _parse_header_line(line: str) -> dict:
+    """Header fields of a CSV or text file, typed as JSON would give them."""
     tokens = line.lstrip("# ").split()
-    if len(tokens) < 2 or tokens[0] != FORMAT_NAME or tokens[1] != f"v{FORMAT_VERSION}":
-        raise PersistenceError(f"unrecognized header line {line!r}")
-    fields = dict(tok.split("=", 1) for tok in tokens[2:])
-    try:
-        return {
-            "p": int(fields["p"]),
-            "q": int(fields["q"]),
-            "r": int(fields["r"]),
-            "degree": int(fields["degree"]),
-            "engine": fields["engine"],
-            "half": fields["half"] == "True",
-        }
-    except KeyError as exc:
-        raise PersistenceError(f"header misses field {exc}") from exc
+    if len(tokens) < 2 or not tokens[1].startswith("v"):
+        raise ValueError(f"unrecognized header line {line!r}")
+    header = dict(tok.split("=", 1) for tok in tokens[2:])
+    for key in ("p", "q", "r", "degree"):
+        header[key] = int(header[key])
+    header["half"] = {"True": True, "False": False}.get(header["half"], header["half"])
+    return {**header, "format": tokens[0], "version": int(tokens[1][1:])}
 
 
 def write_csv(vec: CoefficientVector, fp: IO[str]) -> None:
-    fp.write(_header_line(vec) + "\n")
-    fp.write("index,coefficient\n")
-    for m, v in enumerate(vec.coeffs):
-        fp.write(f"{m},{int(v)}\n")
+    _write_rows(vec, fp, ",", _CSV_COLUMNS)
 
 
-def read_csv(fp: IO[str]) -> CoefficientVector:
+@_reader
+def read_csv(fp: IO[str]):
     header = _parse_header_line(fp.readline().rstrip("\n"))
     column_line = fp.readline().rstrip("\n")
-    if column_line != "index,coefficient":
-        raise PersistenceError(f"unexpected CSV column header {column_line!r}")
+    if column_line != _CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV column header {column_line!r}")
     values = []
     for lineno, line in enumerate(fp):
         line = line.strip()
         if not line:
             continue
         idx_s, _, val_s = line.partition(",")
-        try:
-            idx, val = int(idx_s), int(val_s)
-        except ValueError as exc:
-            raise PersistenceError(f"bad CSV row {line!r}") from exc
-        if idx != lineno:
-            raise PersistenceError(f"CSV rows out of order at index {idx}")
-        values.append(val)
-    coeffs = np.asarray(values, dtype=np.int64)
-    _check_length(len(coeffs), header["degree"], header["half"])
-    return CoefficientVector(
-        triple=Triple(header["p"], header["q"], header["r"]),
-        degree=header["degree"],
-        coeffs=coeffs,
-        engine=header["engine"],
-        half=header["half"],
-    )
+        if int(idx_s) != lineno:
+            raise ValueError(f"CSV rows out of order at index {idx_s}")
+        values.append(int(val_s))
+    return header, values
 
 
 def write_text(vec: CoefficientVector, fp: IO[str]) -> None:
     """Human-oriented listing: header line, then 'index coefficient' rows."""
-    fp.write(_header_line(vec) + "\n")
-    for m, v in enumerate(vec.coeffs):
-        fp.write(f"{m} {int(v)}\n")
+    _write_rows(vec, fp, " ")
 
 
 def write_binary(vec: CoefficientVector, fp: IO[bytes]) -> None:
     engine = vec.engine.encode("ascii")[:8].ljust(8, b"\0")
-    fp.write(
-        _BIN_HEADER.pack(
-            _MAGIC,
-            FORMAT_VERSION,
-            vec.triple.p,
-            vec.triple.q,
-            vec.triple.r,
-            vec.degree,
-            len(vec.coeffs),
-            int(vec.half),
-            engine,
-        )
-    )
+    fields = (*vec.triple.as_tuple(), vec.degree, len(vec.coeffs), int(vec.half), engine)
+    fp.write(_BIN_HEADER.pack(_MAGIC, FORMAT_VERSION, *fields))
     fp.write(np.ascontiguousarray(vec.coeffs, dtype="<i8").tobytes())
 
 
-def read_binary(fp: IO[bytes]) -> CoefficientVector:
+@_reader
+def read_binary(fp: IO[bytes]):
     raw = fp.read(_BIN_HEADER.size)
     if len(raw) != _BIN_HEADER.size:
-        raise PersistenceError("truncated binary header")
+        raise ValueError("truncated binary header")
     magic, version, p, q, r, deg, count, half, engine = _BIN_HEADER.unpack(raw)
-    if magic != _MAGIC or version != FORMAT_VERSION:
-        raise PersistenceError(f"unrecognized binary record (magic={magic!r})")
-    payload = fp.read(8 * count)
+    if magic != _MAGIC:
+        raise ValueError(f"unrecognized binary record (magic={magic!r})")
+    payload = fp.read()  # the rest of the stream: no allocation sized by the header
     if len(payload) != 8 * count:
-        raise PersistenceError("truncated coefficient payload")
-    coeffs = np.frombuffer(payload, dtype="<i8").astype(np.int64)
-    _check_length(count, deg, bool(half))
-    return CoefficientVector(
-        triple=Triple(p, q, r),
-        degree=deg,
-        coeffs=coeffs,
-        engine=engine.rstrip(b"\0").decode("ascii"),
-        half=bool(half),
-    )
+        raise ValueError(f"payload of {len(payload)} bytes for {count} coefficients")
+    header = dict(format=FORMAT_NAME, version=version, p=p, q=q, r=r, degree=deg)
+    header["engine"] = engine.rstrip(b"\0").decode("ascii")
+    header["half"] = {0: False, 1: True}.get(half, half)
+    return header, np.frombuffer(payload, dtype="<i8").astype(np.int64)

@@ -151,6 +151,21 @@ def test_search_cli_roundtrip(tmp_path, capsys):
     assert open(out_file, "rb").read() == first
 
 
+def test_search_resume_rejects_other_task(tmp_path, capsys):
+    # s=5 and s=7 both start at (3,4), so only the manifest tells them apart
+    out_file = str(tmp_path / "pairs.jsonl")
+    code, _, _ = run(capsys, "search", "bound-attained", "8", "8", "--s", "5", "--out", out_file)
+    assert code == 0
+    first_line = open(out_file, "rb").readline()
+    with open(out_file, "wb") as fh:
+        fh.write(first_line)
+    code, _, err = run(
+        capsys, "search", "bound-attained", "8", "8", "--s", "7", "--out", out_file, "--resume"
+    )
+    assert code == 2 and "manifest" in err
+    assert open(out_file, "rb").read() == first_line
+
+
 def test_search_bounds_syntax(tmp_path, capsys):
     out_file = str(tmp_path / "k.jsonl")
     code, _, _ = run(capsys, "search", "flat-hunt", "3:5", "4:7", "10:80", "--out", out_file)

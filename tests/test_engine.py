@@ -128,10 +128,16 @@ def test_validate_catches_corruption():
 
 
 def test_validate_survives_optimize_flag():
-    # explicit raises, so python -O keeps the self-checks
+    # explicit raises, so python -O keeps the self-checks and the reader checks
     code = (
-        "from iepoly import InvariantViolated, Triple, coeffs_series\n"
+        "import io\n"
+        "from iepoly import InvariantViolated, PersistenceError, Triple, coeffs_series\n"
+        "from iepoly.serialize import read_json, write_json\n"
         "vec = coeffs_series(Triple(3, 5, 7))\n"
+        "buf = io.StringIO()\nwrite_json(vec, buf)\n"
+        "bad = io.StringIO(buf.getvalue().replace('\"r\":7', '\"r\":11'))\n"
+        "try:\n    read_json(bad)\nexcept PersistenceError:\n    pass\n"
+        "else:\n    raise SystemExit(2)\n"
         "vec.coeffs[3] += 1\n"
         "try:\n    vec.validate()\nexcept InvariantViolated:\n    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

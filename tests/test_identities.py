@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iepoly.engine import coeffs_series
 from iepoly.errors import PreconditionViolated, UnknownCheck
 from iepoly.identities import (
     EXHAUSTIVE_PRODUCT_LIMIT,
@@ -133,6 +134,16 @@ def test_bundle_shares_workspace_results():
     # deterministic: same call, same reports
     again = verify_identity_bundle(t, mode="exhaustive")
     assert [str(r) for r in reports] == [str(r) for r in again]
+
+
+def test_sampled_bundle_computes_one_series_vector(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "iepoly.identities.coeffs_series", lambda t: calls.append(t) or coeffs_series(t)
+    )
+    reports = verify_identity_bundle(Triple(23, 29, 671), samples=500, seed=5, mode="sampled")
+    assert all(r.passed for r in reports)
+    assert calls == [Triple(23, 29, 671)]
 
 
 def test_sampled_deterministic_under_seed():

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -95,3 +96,40 @@ def test_csv_rejects_row_gap():
     del lines[5]
     with pytest.raises(PersistenceError):
         serialize.read_csv(io.StringIO("\n".join(lines)))
+
+
+def _bin_field(fmt_before: str, value: bytes):
+    """Mangle that overwrites the binary header field after fmt_before."""
+    at = struct.calcsize(fmt_before)
+    return lambda b: b[:at] + value + b[at + len(value) :]
+
+
+@pytest.mark.parametrize(
+    "kind, mode, mangle",
+    [
+        ("json", "full", lambda s: s.replace('"r":7', '"r":11')),  # 48 is not deg (3,5,11)
+        ("json", "half", lambda s: s.replace('"half":true', '"half":"yes"')),
+        ("json", "full", lambda s: s.replace('"coeffs":[1,', '"coeffs":[1.5,')),
+        ("csv", "full", lambda s: s.replace("p=3", "p=x")),
+        ("csv", "full", lambda s: s.replace("p=3", "p3")),
+        ("csv", "full", lambda s: s.replace("p=3", "p=5")),  # not coprime
+        ("bin", "full", _bin_field("<4sH", struct.pack("<q", 5))),  # not coprime
+        ("bin", "full", _bin_field("<4sH6q", "séries".encode().ljust(8, b"\0"))),
+        ("bin", "full", _bin_field("<4sH4q", struct.pack("<q", 1 << 61))),  # count
+    ],
+    ids=["json-wrong-r", "json-half-yes", "json-float-coeff", "csv-p-not-int", "csv-token-without-eq",
+         "csv-not-coprime", "bin-not-coprime", "bin-non-ascii-engine", "bin-huge-count"],
+)
+def test_reader_rejects_bad_header(kind, mode, mangle):
+    vec = coeffs_series(Triple(3, 5, 7), mode=mode)
+    writer, reader = {
+        "json": (serialize.write_json, serialize.read_json),
+        "csv": (serialize.write_csv, serialize.read_csv),
+        "bin": (serialize.write_binary, serialize.read_binary),
+    }[kind]
+    buf = io.BytesIO() if kind == "bin" else io.StringIO()
+    writer(vec, buf)
+    bad = mangle(buf.getvalue())
+    assert bad != buf.getvalue()
+    with pytest.raises(PersistenceError):
+        reader(type(buf)(bad))
