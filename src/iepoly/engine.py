@@ -13,6 +13,19 @@ eight linear passes.  The window engine instead counts representable
 integers in four sliding windows derived from the decomposition; the two
 routes share no code beyond the triple itself, which is what makes their
 agreement a meaningful check.
+
+Intermediate bound and guard schedule.  Let the series hold n entries and
+let B bound |c[i]| before a pass.  Multiplying by (1 - z^a) sets
+c[i] - c[i-a], so B at most doubles, and stays when a >= n; the four
+multiply passes start from c = 1 and end with B <= 2^4 = 16.  Dividing by
+(1 - z^b) sets c[i] to the sum of c[i - k*b] over k >= 0, at most
+ceil(n/b) terms, so B grows by that factor.  coeffs_series tracks B in
+Python ints and runs the max/min guard scan only after a pass whose B
+exceeds _GUARD.  Since n <= degree + 1 <= pqr, the four divisors give
+B <= 16 * n * pqr, and pqr <= 3.75 * degree for every triple of positive
+degree, so under the default degree cap of 2e7, B < 2.5e16 < 2^62 and
+the guard never runs.  A cap raised to about 3e8 or more brings it back
+for some triples.
 """
 
 from __future__ import annotations
@@ -37,6 +50,9 @@ DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
 
 # Intermediate coefficients must stay below this; trespass means a bug.
 _GUARD = 1 << 62
+
+# Entries per block of the lagged subtraction in _multiply_factor.
+_BLOCK = 1 << 16
 
 ENGINE_SERIES = "series"
 ENGINE_WINDOW = "window"
@@ -107,9 +123,12 @@ class CoefficientVector:
         _require(full[-1] == 1, "trailing coefficient must be 1")
         _require(int(full.sum()) == 1, "coefficients must sum to 1")
         _require(np.array_equal(full, full[::-1]), "vector must be palindromic")
-        values = np.unique(full)
+        # n entries take at most n distinct values; a wider span cannot be a
+        # consecutive run, and checking first keeps bincount's table small
+        lo, hi = int(full.min()), int(full.max())
         _require(
-            np.all(np.diff(values) == 1), "coefficient values must form a consecutive run"
+            hi - lo < len(full) and np.bincount(full - lo).all(),
+            "coefficient values must form a consecutive run",
         )
 
 
@@ -119,9 +138,14 @@ def _require(ok, message: str) -> None:
 
 
 def _multiply_factor(c: np.ndarray, a: int) -> None:
-    """c *= (1 - z^a), truncated; numpy buffers the overlapping update."""
-    if a < len(c):
-        c[a:] -= c[:-a]
+    """c *= (1 - z^a), truncated, in blocks from the top down.
+
+    A block reads only entries below it that are not yet updated, so numpy
+    buffers at most one block of the overlap, never the whole array.
+    """
+    for hi in range(len(c), a, -_BLOCK):
+        lo = max(hi - _BLOCK, a)
+        c[lo:hi] -= c[lo - a : hi - a]
 
 
 def _divide_factor(c: np.ndarray, b: int) -> None:
@@ -162,12 +186,18 @@ def coeffs_series(
     p, q, r = t.p, t.q, t.r
     c = np.zeros(CoefficientVector.stored_length(deg, mode == "half"), dtype=np.int64)
     c[0] = 1
+    n = len(c)
+    bound = 1  # proven bound on |c[i]|; see the module docstring
     for a in (p, q, r, p * q * r):
         _multiply_factor(c, a)
-        _check_guard(c)
+        bound *= 2 if a < n else 1
+        if bound > _GUARD:
+            _check_guard(c)
     for b in (1, p * q, q * r, r * p):
         _divide_factor(c, b)
-        _check_guard(c)
+        bound *= -(-n // b)
+        if bound > _GUARD:
+            _check_guard(c)
     return CoefficientVector(
         triple=t, degree=deg, coeffs=c, engine=ENGINE_SERIES, half=(mode == "half")
     )
@@ -188,17 +218,28 @@ def coeffs_window(t: Triple, cap: int | None = None) -> CoefficientVector:
         raise DegreeCapExceeded(deg, limit)
     u, v, w = t.sorted()
     ind = indicator_range(t, deg + 1)
-    prefix = np.zeros(deg + 2, dtype=np.int64)
-    np.cumsum(ind, out=prefix[1:])
+    # padded[off + j] counts representable integers below j; the zeros in
+    # front make every window that reaches below 0 count nothing there
     off = u + v + w + 1
-    padded = np.concatenate([np.zeros(off, dtype=np.int64), prefix])
+    padded = np.zeros(off + deg + 2, dtype=np.int64)
+    # widen in place, then sum in place: a cumsum from uint8 into int64
+    # would allocate a full-size int64 temporary
+    prefix = padded[off + 1 :]
+    prefix[:] = ind
+    del ind
+    np.cumsum(prefix, out=prefix)
+    # counts[j] is the window count of length u ending at j - off - 1 + u
+    counts = padded[u:] - padded[:-u]
+    del padded, prefix
 
     def win(d: int) -> np.ndarray:
         # window count of length u ending at m - d, for m = 0..deg
-        hi = off + 1 - d
-        return padded[hi : hi + deg + 1] - padded[hi - u : hi - u + deg + 1]
+        lo = off + 1 - u - d
+        return counts[lo : lo + deg + 1]
 
-    coeffs = win(0) - win(v) - win(w) + win(v + w)
+    coeffs = win(0) - win(v)
+    coeffs -= win(w)
+    coeffs += win(v + w)
     return CoefficientVector(
         triple=t, degree=deg, coeffs=coeffs, engine=ENGINE_WINDOW, half=False
     )

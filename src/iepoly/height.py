@@ -56,7 +56,8 @@ def _coefficient_stats(t: Triple, engine: str, cap: int | None):
     coeffs = vec.coeffs
     a_minus = int(coeffs.min())
     a_plus = int(coeffs.max())
-    counts = np.bincount(coeffs - a_minus, minlength=a_plus - a_minus + 1)
+    coeffs -= a_minus  # the vector is ours alone: shift it in place
+    counts = np.bincount(coeffs, minlength=a_plus - a_minus + 1)
     return a_minus, a_plus, counts
 
 

@@ -28,6 +28,9 @@ from .errors import DomainExceeded, InvalidParameters, InvalidTriple
 # so this keeps every intermediate inside signed 64 bits.
 _PRODUCT_LIMIT = 1 << 60
 
+# Positions per indicator block: its int64 temporaries stay in cache.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Triple:
@@ -138,15 +141,23 @@ def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
 
     Negative entries yield 0 without special casing: the reconstructed sum
     of table entries is always nonnegative, so it can never equal n < 0.
+    Works through cache-sized blocks of _BLOCK positions, and takes each
+    residue as n - n // m * m: numpy divides by a scalar without a hardware
+    divide, which `%` still uses.
     """
     c = _context(t)
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= c.product:
         raise DomainExceeded(f"index beyond product {c.product} for {t}")
-    tot = c.xtab[ns % c.p]
-    tot += c.ytab[ns % c.q]
-    tot += c.ztab[ns % c.r]
-    return (tot == ns).view(np.uint8)
+    flat = ns.ravel()
+    out = np.empty(flat.size, dtype=np.uint8)
+    for lo in range(0, flat.size, _BLOCK):
+        n = flat[lo : lo + _BLOCK]
+        tot = c.xtab[n - n // c.p * c.p]
+        tot += c.ytab[n - n // c.q * c.q]
+        tot += c.ztab[n - n // c.r * c.r]
+        np.equal(tot, n, out=out[lo : lo + _BLOCK].view(np.bool_))
+    return out.reshape(ns.shape)[()]  # [()] turns a 0-d result into a scalar
 
 
 def indicator_range(t: Triple, stop: int) -> np.ndarray:

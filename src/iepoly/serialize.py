@@ -131,12 +131,12 @@ def read_csv(fp: IO[str]):
     if column_line != _CSV_COLUMNS:
         raise ValueError(f"unexpected CSV column header {column_line!r}")
     values = []
-    for lineno, line in enumerate(fp):
+    for line in fp:
         line = line.strip()
         if not line:
             continue
         idx_s, _, val_s = line.partition(",")
-        if int(idx_s) != lineno:
+        if int(idx_s) != len(values):
             raise ValueError(f"CSV rows out of order at index {idx_s}")
         values.append(int(val_s))
     return header, values

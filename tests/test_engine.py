@@ -2,13 +2,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import iepoly
+from iepoly import engine
 from iepoly.engine import (
+    DEFAULT_DEGREE_CAP,
     CoefficientVector,
     coefficient_at,
     coeffs_series,
@@ -22,6 +25,7 @@ from iepoly.errors import (
     InvalidParameters,
     InvalidTriple,
     InvariantViolated,
+    OverflowDetected,
 )
 from iepoly.represent import Triple
 
@@ -177,3 +181,98 @@ def test_coefficient_vector_repr_compact():
     vec = coeffs_series(Triple(3, 5, 7))
     assert "coeffs" not in repr(vec)  # the array itself stays out of repr
     assert len(vec) == vec.degree + 1
+
+
+def test_engines_agree_across_blocks():
+    # lengths straddle several 2^16-entry blocks, one of them by one entry
+    assert engine._BLOCK == 1 << 16
+    for p, q, r in [(5, 7, 8193), (11, 13, 1201), (13, 43, 564)]:
+        t = Triple(p, q, r)
+        full = coeffs_series(t)
+        half = coeffs_series(t, mode="half")
+        window = coeffs_window(t)
+        assert len(full) > 2 * engine._BLOCK
+        assert np.array_equal(full.coeffs, window.coeffs), (p, q, r)
+        assert np.array_equal(half.coeffs, window.coeffs[: len(half)]), (p, q, r)
+        window.validate()
+    # 3 * 2^16 + 1 entries, against the long-division oracle
+    assert coeffs_series(Triple(5, 7, 8193)).coeffs.tolist() == reference_coeffs(5, 7, 8193)
+
+
+def test_guard_still_reachable(monkeypatch):
+    monkeypatch.setattr(engine, "_GUARD", 0)
+    for mode in ("full", "half"):
+        with pytest.raises(OverflowDetected):
+            coeffs_series(Triple(3, 5, 7), mode=mode)
+
+
+def series_bound(p, q, r, n):
+    """Bound on |c| over the eight series passes on n entries: each multiply
+    by (1 - z^a) with a < n at most doubles it, each divide by (1 - z^b)
+    sums at most ceil(n/b) terms."""
+    bound = 1
+    for a in (p, q, r, p * q * r):
+        bound *= 2 if a < n else 1
+    for b in (1, p * q, q * r, r * p):
+        bound *= -(-n // b)
+    return bound
+
+
+def test_series_bound_holds_and_fits_the_guard(monkeypatch):
+    # the bound holds pass by pass on an exact shadow run
+    for p, q, r in [(3, 5, 7), (2, 3, 5), (5, 7, 2), (3, 4, 1), (7, 16, 115), (13, 43, 564)]:
+        for mode in ("full", "half"):
+            n = CoefficientVector.stored_length(degree(Triple(p, q, r)), mode == "half")
+            c = np.zeros(n, dtype=np.int64)
+            c[0] = 1
+            bound, worst = 1, 1
+            for a in (p, q, r, p * q * r):
+                engine._multiply_factor(c, a)
+                bound *= 2 if a < n else 1
+                worst = max(worst, int(np.abs(c).max()))
+                assert worst <= bound
+            for b in (1, p * q, q * r, r * p):
+                engine._divide_factor(c, b)
+                bound *= -(-n // b)
+                worst = max(worst, int(np.abs(c).max()))
+                assert worst <= bound
+            assert bound == series_bound(p, q, r, n)
+    # n <= degree + 1 <= pqr makes the divisors' factors at most n * pqr, and
+    # pqr / degree is largest at (2, 3, 5): 2 * 3/2 * 5/4 = 3.75
+    n = DEFAULT_DEGREE_CAP + 1
+    assert 16 * n * (15 * DEFAULT_DEGREE_CAP // 4) <= engine._GUARD
+    for p, q, r in [(2, 3, 10000001), (3, 4, 3333331), (3, 5, 2499998), (211, 409, 233)]:
+        assert degree(Triple(p, q, r)) <= DEFAULT_DEGREE_CAP
+        assert series_bound(p, q, r, degree(Triple(p, q, r)) + 1) <= engine._GUARD
+    # so at the default cap the guard scan does not run at all
+
+    def no_scan(c):
+        raise AssertionError("guard scanned under the default cap")
+
+    monkeypatch.setattr(engine, "_check_guard", no_scan)
+    coeffs_series(Triple(13, 43, 564))
+    coeffs_series(Triple(13, 43, 564), mode="half")
+
+
+def _peak_ratio(build):
+    tracemalloc.start()
+    try:
+        vec = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / vec.coeffs.nbytes
+
+
+@pytest.mark.parametrize(
+    "build, ceiling",
+    [
+        (lambda t: coeffs_series(t), 1.25),
+        (lambda t: coeffs_series(t, mode="half"), 1.25),
+        (lambda t: coeffs_window(t), 2.5),
+    ],
+    ids=["series-full", "series-half", "window"],
+)
+def test_working_memory_ceiling(build, ceiling):
+    t = Triple(61, 67, 257)  # degree 1013760
+    assert _peak_ratio(lambda: build(t)) <= ceiling

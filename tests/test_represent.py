@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iepoly import represent
 from iepoly.errors import DomainExceeded, InvalidTriple
 from iepoly.represent import (
     Triple,
@@ -70,6 +73,47 @@ def test_indicator_matches_brute(p, q, r):
     got = indicator_many(ns, t)
     for n, g in zip(ns.tolist(), got.tolist()):
         assert g == brute_indicator(n, p, q, r), n
+
+
+BLOCKED = (4, 7, 7031)  # product 196868 > 3 * 2^16 + 5, cheap brute loops
+BLOCK_SIZES = [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5]
+
+
+@lru_cache(maxsize=1)
+def _brute_table():
+    """brute_indicator(n) at index n + 8, for -8 <= n < product."""
+    p, q, r = BLOCKED
+    return np.array([brute_indicator(n, p, q, r) for n in range(-8, p * q * r)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_indicator_many_across_blocks(size):
+    assert represent._BLOCK == 1 << 16
+    t = Triple(*BLOCKED)
+    table = _brute_table()
+    rng = np.random.default_rng(size)
+    ns = rng.integers(-8, t.product, size=size)
+    ns[:8] = np.arange(-8, 0)
+    ns[-1] = t.product - 1
+    even = ns[: size - size % 2]
+    # 1-D, 2-D, non-contiguous, and 2-D non-contiguous
+    for arr in [ns, ns.reshape(-1, 1), ns[::-1], even.reshape(2, -1).T]:
+        got = indicator_many(arr, t)
+        assert got.dtype == np.uint8 and got.shape == arr.shape
+        assert np.array_equal(got, table[arr + 8])
+    got = indicator_range(t, size)
+    assert np.array_equal(got, table[8 : 8 + size])
+    ns[size // 2] = t.product
+    with pytest.raises(DomainExceeded):
+        indicator_many(ns, t)
+
+
+def test_indicator_many_scalar():
+    t = Triple(*BLOCKED)
+    for n in (-3, 0, 95, t.product - 1):
+        got = indicator_many(np.int64(n), t)
+        assert np.ndim(got) == 0 and got.dtype == np.uint8
+        assert got == brute_indicator(n, *BLOCKED)
 
 
 def test_indicator_range_equals_many():

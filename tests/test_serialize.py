@@ -98,6 +98,16 @@ def test_csv_rejects_row_gap():
         serialize.read_csv(io.StringIO("\n".join(lines)))
 
 
+def test_csv_skips_blank_lines():
+    vec = coeffs_series(Triple(3, 5, 7))
+    buf = io.StringIO()
+    serialize.write_csv(vec, buf)
+    lines = buf.getvalue().splitlines()
+    lines.insert(4, "")  # between the rows for indices 1 and 2
+    back = serialize.read_csv(io.StringIO("\n".join(lines) + "\n\n"))
+    assert np.array_equal(back.coeffs, vec.coeffs)
+
+
 def _bin_field(fmt_before: str, value: bytes):
     """Mangle that overwrites the binary header field after fmt_before."""
     at = struct.calcsize(fmt_before)
