@@ -22,12 +22,7 @@ from .engine import (
     coeffs_series,
     coeffs_window,
 )
-from .errors import (
-    DegreeCapExceeded,
-    IEPolyError,
-    OverflowDetected,
-    PreconditionViolated,
-)
+from .errors import DegreeCapExceeded, IEPolyError, PreconditionViolated
 from .height import height
 from .represent import Triple
 from .search import SEARCH_KINDS, SearchTask, sweep_heights
@@ -285,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DegreeCapExceeded, OverflowDetected) as exc:
+    except DegreeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except IEPolyError as exc:

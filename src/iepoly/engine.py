@@ -9,23 +9,25 @@ The polynomial attached to a pairwise-coprime triple {p, q, r} is
 of degree (p-1)(q-1)(r-1).  The series engine evaluates that quotient as a
 truncated power series over int64: multiplying by (1 - z^a) is a lagged
 subtraction, dividing is a strided running sum, so the whole vector costs
-eight linear passes.  The window engine instead counts representable
+seven linear passes.  The window engine instead counts representable
 integers in four sliding windows derived from the decomposition; the two
 routes share no code beyond the triple itself, which is what makes their
 agreement a meaningful check.
 
-Intermediate bound and guard schedule.  Let the series hold n entries and
-let B bound |c[i]| before a pass.  Multiplying by (1 - z^a) sets
-c[i] - c[i-a], so B at most doubles, and stays when a >= n; the four
-multiply passes start from c = 1 and end with B <= 2^4 = 16.  Dividing by
-(1 - z^b) sets c[i] to the sum of c[i - k*b] over k >= 0, at most
-ceil(n/b) terms, so B grows by that factor.  coeffs_series tracks B in
-Python ints and runs the max/min guard scan only after a pass whose B
-exceeds _GUARD.  Since n <= degree + 1 <= pqr, the four divisors give
-B <= 16 * n * pqr, and pqr <= 3.75 * degree for every triple of positive
-degree, so under the default degree cap of 2e7, B < 2.5e16 < 2^62 and
-the guard never runs.  A cap raised to about 3e8 or more brings it back
-for some triples.
+Intermediate bound.  Let (u, v, w) be the sorted triple and let the series
+hold n <= degree + 1 entries.  The passes run in the order
+x(1 - z^u), x(1 - z^v), /(1 - z), /(1 - z^uv), x(1 - z^w), /(1 - z^vw),
+/(1 - z^wu); x(1 - z^uvw) is left out, since uvw > degree.  The first four
+leave the truncated series of 1/Q_uv(z) = (1 + z + ... + z^(u-1))(1 - z^v)
+/ (1 - z^uv).  For u = 1 that is 1; otherwise the numerator has
+coefficients in {-1, 0, 1} and degree u + v - 1 < uv, and the series
+repeats it with period uv, so |c| <= 1.  Multiplying by
+(1 - z^w) sets c[i] - c[i-w], so |c| <= 2.  Dividing by (1 - z^b) sets
+c[i] to the sum of c[i - k*b] over k >= 0, at most ceil(n/b) terms; as
+n - 1 <= (u-1)(v-1)(w-1), that is at most u terms for b = vw and v for
+b = wu.  So every intermediate satisfies |c| <= 2uv, and uv <= (uvw)^(2/3)
+<= 2^40 for every Triple (product <= 2^60): int64 holds them at any
+degree cap, and no run-time guard is needed.
 """
 
 from __future__ import annotations
@@ -41,15 +43,11 @@ from .errors import (
     InvalidParameters,
     InvalidTriple,
     InvariantViolated,
-    OverflowDetected,
 )
 from .represent import Triple, indicator_range, window_count
 
 DEFAULT_DEGREE_CAP = 20_000_000
 DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
-
-# Intermediate coefficients must stay below this; trespass means a bug.
-_GUARD = 1 << 62
 
 # Entries per block of the lagged subtraction in _multiply_factor.
 _BLOCK = 1 << 16
@@ -163,11 +161,6 @@ def _divide_factor(c: np.ndarray, b: int) -> None:
         c[main:] += c[main - b : n - b]
 
 
-def _check_guard(c: np.ndarray) -> None:
-    if len(c) and (int(c.max()) > _GUARD or int(c.min()) < -_GUARD):
-        raise OverflowDetected("intermediate coefficient left the 64-bit guard band")
-
-
 def coeffs_series(
     t: Triple, mode: str = "full", cap: int | None = None
 ) -> CoefficientVector:
@@ -183,21 +176,17 @@ def coeffs_series(
     limit = resolve_degree_cap(cap)
     if deg > limit:
         raise DegreeCapExceeded(deg, limit)
-    p, q, r = t.p, t.q, t.r
+    u, v, w = t.sorted()
     c = np.zeros(CoefficientVector.stored_length(deg, mode == "half"), dtype=np.int64)
     c[0] = 1
-    n = len(c)
-    bound = 1  # proven bound on |c[i]|; see the module docstring
-    for a in (p, q, r, p * q * r):
-        _multiply_factor(c, a)
-        bound *= 2 if a < n else 1
-        if bound > _GUARD:
-            _check_guard(c)
-    for b in (1, p * q, q * r, r * p):
-        _divide_factor(c, b)
-        bound *= -(-n // b)
-        if bound > _GUARD:
-            _check_guard(c)
+    # this order keeps |c| <= 2uv after every pass; see the module docstring
+    _multiply_factor(c, u)
+    _multiply_factor(c, v)
+    _divide_factor(c, 1)
+    _divide_factor(c, u * v)
+    _multiply_factor(c, w)
+    _divide_factor(c, v * w)
+    _divide_factor(c, w * u)
     return CoefficientVector(
         triple=t, degree=deg, coeffs=c, engine=ENGINE_SERIES, half=(mode == "half")
     )

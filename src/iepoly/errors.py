@@ -36,13 +36,6 @@ class InvariantViolated(IEPolyError):
     """Raised when a computed object fails one of its structural self-checks."""
 
 
-class OverflowDetected(IEPolyError):
-    """Raised when an intermediate magnitude leaves the signed 64-bit guard band.
-
-    This signals an engine bug; no valid input is expected to trigger it.
-    """
-
-
 class NotConsecutive(IEPolyError):
     """Raised when a coefficient set fails to be a consecutive run of integers."""
 

@@ -39,22 +39,44 @@ _CHUNK = 1 << 22
 
 
 class _Workspace:
-    """Tables behind the exhaustive oracles for one triple, and the series
-    vector behind the sampled coefficient oracle; each built on first use."""
+    """Tables behind the exhaustive oracles for one triple, the series
+    vector behind the sampled coefficient oracle and the workspace of the
+    companion triple; each built on first use.
+
+    ind, prefix and ext start with pad = 3*product zeros, so an exhaustive
+    oracle reads position x as table[x + pad], and every x < 0 reads 0.
+    Checks read only x < product, and none reads below -2*product of the
+    triple whose table it reads.  The lowest reads are in below-multiple,
+    k*pivot - j*shift >= (1 - shift)*pivot - (pivot - 1)*shift
+    = pivot + shift - 2*product, and in the offset checks with r = pq + s:
+    offset-period reads k*r + j + beta*pq, and companion-window counts
+    sigma_s from there down, both no lower than
+    (1 - pq)*r + 1 - s - (pq//s)*pq = pq + 1 - product - (pq//s)*pq,
+    which exceeds -2*product as (pq//s)*pq <= pq*pq < product.  On the
+    companion (product pq*s), companion-window counts down to
+    (1 - pq)*s - pq - s + 1 = 1 - pq - pq*s.  All other reads lie above
+    -product.  So 3*product zeros leave a margin of at least product.
+    """
 
     def __init__(self, t: Triple):
         self.t = t
         self.n = t.product
+        self.pad = 3 * t.product
 
     @cached_property
     def ind(self) -> np.ndarray:
-        return indicator_range(self.t, self.n)
+        out = np.zeros(self.pad + self.n, dtype=np.uint8)
+        out[self.pad :] = indicator_range(self.t, self.n)
+        return out
 
     @cached_property
     def prefix(self) -> np.ndarray:
-        # prefix[i] = number of representable n < i
-        out = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.ind, out=out[1:])
+        # prefix[pad + i] = number of representable n < i; widened and then
+        # summed in place, as a cumsum from uint8 allocates an int64 temporary
+        out = np.zeros(self.pad + self.n + 1, dtype=np.int64)
+        body = out[self.pad + 1 :]
+        body[:] = self.ind[self.pad :]
+        np.cumsum(body, out=body)
         return out
 
     @cached_property
@@ -63,18 +85,15 @@ class _Workspace:
 
     @cached_property
     def ext(self) -> np.ndarray:
-        # a_m over [0, product): engine coefficients then the zero tail
-        out = np.zeros(self.n, dtype=np.int64)
-        out[: len(self.series)] = self.series
+        # a_m over [-pad, product): the pad, engine coefficients, a zero tail
+        out = np.zeros(self.pad + self.n, dtype=np.int64)
+        out[self.pad : self.pad + len(self.series)] = self.series
         return out
 
-
-def _prefix_sigma(prefix: np.ndarray, k: int, ms: np.ndarray) -> np.ndarray:
-    """Window counts sigma_k at (possibly negative) positions ms."""
-    top = len(prefix) - 1
-    hi = np.clip(ms + 1, 0, top)
-    lo = np.clip(ms + 1 - k, 0, top)
-    return prefix[hi] - prefix[lo]
+    @cached_property
+    def companion(self) -> _Workspace:
+        """Workspace of the companion triple {p, q, s}, where r = p*q + s."""
+        return _Workspace(Triple(self.t.p, self.t.q, _offset(self.t)))
 
 
 def _sigma_many(t: Triple, k: int, ms: np.ndarray) -> np.ndarray:
@@ -105,18 +124,13 @@ def _window_sum(sigma, k: int, ms: np.ndarray, a: int, b: int) -> np.ndarray:
     return sigma(k, ms) - sigma(k, ms - a) - sigma(k, ms - b) + sigma(k, ms - a - b)
 
 
-def _lookup(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """table[idx], 0 at negative idx."""
-    return np.where(idx >= 0, table[np.maximum(idx, 0)], 0)
-
-
 _Oracles = namedtuple("_Oracles", "ind sigma coeff")
 
 
-def _oracles(t: Triple, ws: _Workspace | None, mode: str) -> _Oracles:
-    """Oracles of t (a fresh workspace when none is given): read from the
-    workspace tables in exhaustive mode, evaluated directly when sampled."""
-    ws = ws or _Workspace(t)
+def _oracles(ws: _Workspace, mode: str) -> _Oracles:
+    """Oracles of ws.t: one gather from the padded workspace tables in
+    exhaustive mode, evaluated directly when sampled."""
+    t, pad = ws.t, ws.pad
     if mode == "sampled":
         return _Oracles(
             lambda ns: indicator_many(ns, t),
@@ -124,9 +138,9 @@ def _oracles(t: Triple, ws: _Workspace | None, mode: str) -> _Oracles:
             _coeff_getter(ws),
         )
     return _Oracles(
-        lambda ns: _lookup(ws.ind, ns),
-        lambda k, ms: _prefix_sigma(ws.prefix, k, ms),
-        lambda ms: _lookup(ws.ext, ms),
+        lambda ns: ws.ind[ns + pad],
+        lambda k, ms: ws.prefix[ms + 1 + pad] - ws.prefix[ms + 1 - k + pad],
+        lambda ms: ws.ext[ms + pad],
     )
 
 
@@ -194,7 +208,7 @@ def _per_case(cases):
     def decorate(case):
         @wraps(case)
         def check(t, ws, rng, samples, mode):
-            ind = _oracles(t, ws, mode).ind
+            ind = _oracles(ws, mode).ind
             pos = partial(_positions, rng, samples, mode)
             checked = 0
             for c in cases(t):
@@ -306,7 +320,7 @@ def _check_coeff_shift(t, ws, rng, samples, mode):
     length p holds up to (p-1)//r + 1 multiples; all of them are tested.
     """
     p, q, r = t.p, t.q, t.r
-    o = _oracles(t, ws, mode)
+    o = _oracles(ws, mode)
     (ms,) = _positions(rng, samples, mode, (0, t.product))
     hit = np.zeros(len(ms), dtype=bool)
     for anchor in (ms, ms - q):
@@ -322,7 +336,7 @@ def _check_coeff_shift(t, ws, rng, samples, mode):
 
 def _check_window_split(t, ws, rng, samples, mode):
     """a_m equals the two-block window sum in the offset form."""
-    s, o = _offset(t), _oracles(t, ws, mode)
+    s, o = _offset(t), _oracles(ws, mode)
     (ms,) = _positions(rng, samples, mode, (0, t.product))
     b1 = _window_sum(o.sigma, s, ms, t.p, t.q)
     b2 = _window_sum(o.sigma, t.p, ms - s, t.p * t.q, t.q)
@@ -333,7 +347,7 @@ def _check_window_split(t, ws, rng, samples, mode):
 def _check_window_split_eval(t, ws, rng, samples, mode):
     """a_m equals the first window block plus a signed one-point correction:
     +-ind at the unique multiple of r near the windows."""
-    s, o = _offset(t), _oracles(t, ws, mode)
+    s, o = _offset(t), _oracles(ws, mode)
     (ms,) = _positions(rng, samples, mode, (0, t.product))
     lo, hi = sorted((t.p, t.q))
     alpha_r, x = ms // t.r * t.r, ms - s
@@ -349,8 +363,7 @@ def _check_window_split_eval(t, ws, rng, samples, mode):
 def _check_companion_transfer(t, ws, rng, samples, mode):
     """ind(k*r + j) transfers to the companion triple {p, q, s} when |j| < s."""
     s, pq = _offset(t), t.p * t.q
-    ind = _oracles(t, ws, mode).ind
-    ind_c = _oracles(Triple(t.p, t.q, s), None, mode).ind
+    ind, ind_c = _oracles(ws, mode).ind, _oracles(ws.companion, mode).ind
     ks, js = _positions(rng, samples, mode, (-pq + 1, pq), (-s + 1, s))
     return _verdict(ind(ks * t.r + js) != ind_c(ks * s + js), len(ks), k=ks, j=js)
 
@@ -365,7 +378,7 @@ def _check_offset_period(t, ws, rng, samples, mode):
         lambda ks, js, bs: (js != 0) & (ks * r + js + bs * pq < t.product),
         min_beta=1,
     )
-    ind = _oracles(t, ws, mode).ind
+    ind = _oracles(ws, mode).ind
     bad = ind(ks * r + js + bs * pq) != ind(ks * r + js)
     return _verdict(bad, len(ks), k=ks, j=js, beta=bs)
 
@@ -377,7 +390,7 @@ def _check_companion_window(t, ws, rng, samples, mode):
         rng, samples, mode, ((-pq + 1, pq), (0, s), (-(pq // s), pq // s + 1)),
         lambda ks, gs, bs: ks * r + gs + bs * pq < t.product,
     )
-    o, oc = _oracles(t, ws, mode), _oracles(Triple(t.p, t.q, s), None, mode)
+    o, oc = _oracles(ws, mode), _oracles(ws.companion, mode)
     lhs = o.sigma(s, ks * r + gs + bs * pq) - o.ind(ks * r + bs * pq)
     mid = oc.sigma(s, ks * s + gs) - oc.ind(ks * s)
     rhs = oc.sigma(s, ks * s + gs - pq)
@@ -430,8 +443,9 @@ def verify_identity(
     if s is not None and check_id != "representative-residue":
         raise PreconditionViolated(f"{check_id} does not take a companion offset")
     kwargs = {"s": s} if check_id == "representative-residue" else {}
+    rng = np.random.default_rng(seed)
     passed, checked, witness = IDENTITY_CHECKS[check_id](
-        t, _workspace, np.random.default_rng(seed), samples, run_mode, **kwargs
+        t, _workspace or _Workspace(t), rng, samples, run_mode, **kwargs
     )
     return VerificationReport(
         check_id, t.as_tuple(), passed, run_mode, checked, witness,

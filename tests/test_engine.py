@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iepoly
-from iepoly import engine
+from iepoly import engine, represent
 from iepoly.engine import (
-    DEFAULT_DEGREE_CAP,
     CoefficientVector,
     coefficient_at,
     coeffs_series,
@@ -25,7 +24,6 @@ from iepoly.errors import (
     InvalidParameters,
     InvalidTriple,
     InvariantViolated,
-    OverflowDetected,
 )
 from iepoly.represent import Triple
 
@@ -199,59 +197,38 @@ def test_engines_agree_across_blocks():
     assert coeffs_series(Triple(5, 7, 8193)).coeffs.tolist() == reference_coeffs(5, 7, 8193)
 
 
-def test_guard_still_reachable(monkeypatch):
-    monkeypatch.setattr(engine, "_GUARD", 0)
-    for mode in ("full", "half"):
-        with pytest.raises(OverflowDetected):
-            coeffs_series(Triple(3, 5, 7), mode=mode)
-
-
-def series_bound(p, q, r, n):
-    """Bound on |c| over the eight series passes on n entries: each multiply
-    by (1 - z^a) with a < n at most doubles it, each divide by (1 - z^b)
-    sums at most ceil(n/b) terms."""
-    bound = 1
-    for a in (p, q, r, p * q * r):
-        bound *= 2 if a < n else 1
-    for b in (1, p * q, q * r, r * p):
-        bound *= -(-n // b)
-    return bound
-
-
-def test_series_bound_holds_and_fits_the_guard(monkeypatch):
-    # the bound holds pass by pass on an exact shadow run
-    for p, q, r in [(3, 5, 7), (2, 3, 5), (5, 7, 2), (3, 4, 1), (7, 16, 115), (13, 43, 564)]:
+def test_series_bound_is_structural(monkeypatch):
+    # sweep-shaped triples (height-sweep and offset-one flat-hunt), two large
+    # ones and triples with an element 1 or 2, in mixed element orders
+    triples = [(12, 19, 401), (13, 20, 387), (12, 19, 229), (13, 21, 272),
+               (13, 43, 564), (211, 409, 233), (2, 3, 5), (5, 7, 2), (3, 4, 1), (1, 4, 3)]
+    for p, q, r in triples:
+        t = Triple(p, q, r)
+        u, v, w = t.sorted()
+        passes = [("multiply", u), ("multiply", v), ("divide", 1), ("divide", u * v),
+                  ("multiply", w), ("divide", v * w), ("divide", w * u)]
         for mode in ("full", "half"):
-            n = CoefficientVector.stored_length(degree(Triple(p, q, r)), mode == "half")
-            c = np.zeros(n, dtype=np.int64)
+            # an int64 shadow run of the seven passes, checked after each one
+            c = np.zeros(CoefficientVector.stored_length(degree(t), mode == "half"),
+                         dtype=np.int64)
             c[0] = 1
-            bound, worst = 1, 1
-            for a in (p, q, r, p * q * r):
-                engine._multiply_factor(c, a)
-                bound *= 2 if a < n else 1
-                worst = max(worst, int(np.abs(c).max()))
-                assert worst <= bound
-            for b in (1, p * q, q * r, r * p):
-                engine._divide_factor(c, b)
-                bound *= -(-n // b)
-                worst = max(worst, int(np.abs(c).max()))
-                assert worst <= bound
-            assert bound == series_bound(p, q, r, n)
-    # n <= degree + 1 <= pqr makes the divisors' factors at most n * pqr, and
-    # pqr / degree is largest at (2, 3, 5): 2 * 3/2 * 5/4 = 3.75
-    n = DEFAULT_DEGREE_CAP + 1
-    assert 16 * n * (15 * DEFAULT_DEGREE_CAP // 4) <= engine._GUARD
-    for p, q, r in [(2, 3, 10000001), (3, 4, 3333331), (3, 5, 2499998), (211, 409, 233)]:
-        assert degree(Triple(p, q, r)) <= DEFAULT_DEGREE_CAP
-        assert series_bound(p, q, r, degree(Triple(p, q, r)) + 1) <= engine._GUARD
-    # so at the default cap the guard scan does not run at all
-
-    def no_scan(c):
-        raise AssertionError("guard scanned under the default cap")
-
-    monkeypatch.setattr(engine, "_check_guard", no_scan)
-    coeffs_series(Triple(13, 43, 564))
-    coeffs_series(Triple(13, 43, 564), mode="half")
+            for kind, k in passes:
+                getattr(engine, f"_{kind}_factor")(c, k)
+                assert int(np.abs(c).max()) <= 2 * u * v, (t, mode, kind, k)
+    # the engine runs exactly those passes, in that order
+    run = []
+    for kind in ("multiply", "divide"):
+        step = getattr(engine, f"_{kind}_factor")
+        monkeypatch.setattr(
+            engine, f"_{kind}_factor",
+            lambda c, k, _kind=kind, _step=step: run.append((_kind, k)) or _step(c, k),
+        )
+    coeffs_series(Triple(7, 3, 5))
+    assert run == [("multiply", 3), ("multiply", 5), ("divide", 1), ("divide", 15),
+                   ("multiply", 7), ("divide", 35), ("divide", 21)]
+    # uv <= product^(2/3) <= 2^40 at the Triple product limit, so 2uv fits int64
+    assert (1 << 40) ** 3 == represent._PRODUCT_LIMIT ** 2
+    assert 2 * (1 << 40) < 1 << 63
 
 
 def _peak_ratio(build):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from iepoly import identities
 from iepoly.engine import coeffs_series
 from iepoly.errors import PreconditionViolated, UnknownCheck
 from iepoly.identities import (
@@ -9,10 +12,12 @@ from iepoly.identities import (
     IDENTITY_CHECKS,
     OFFSET_CHECKS,
     _Workspace,
+    _oracles,
+    _sigma_many,
     verify_identity,
     verify_identity_bundle,
 )
-from iepoly.represent import Triple
+from iepoly.represent import Triple, indicator_many
 
 GENERIC_IDS = tuple(GENERIC_CHECKS) + ("representative-residue",)
 
@@ -100,8 +105,7 @@ def test_planted_violation_is_caught():
     # notice and produce a re-checkable witness
     t = Triple(3, 5, 17)
     ws = _Workspace(t)
-    ws.ind  # materialize
-    ws.ind[40] ^= 1
+    ws.ind[ws.pad + 40] ^= 1  # position 40, behind the table's zero pad
     failed = []
     for cid in ("threshold-agreement", "multiple-period", "below-multiple"):
         rep = verify_identity(cid, t, mode="exhaustive", _workspace=ws)
@@ -119,8 +123,7 @@ def test_planted_violation_is_caught():
 def test_witness_payload_decodes():
     t = Triple(3, 5, 17)
     ws = _Workspace(t)
-    ws.ind
-    ws.ind[17] ^= 1  # 17 = r, a representable multiple of r
+    ws.ind[ws.pad + 17] ^= 1  # 17 = r, a representable multiple of r
     rep = verify_identity("threshold-agreement", t, mode="exhaustive", _workspace=ws)
     assert not rep.passed
     assert rep.witness["n"] == 17
@@ -151,3 +154,52 @@ def test_sampled_deterministic_under_seed():
     a = verify_identity("second-difference", t, mode="sampled", samples=800, seed=3)
     b = verify_identity("second-difference", t, mode="sampled", samples=800, seed=3)
     assert str(a) == str(b)
+
+
+def test_exhaustive_oracles_stay_in_pad(monkeypatch):
+    # an exhaustive oracle reads position x at table[x + pad], so a position
+    # below -pad would wrap around to the end of the table instead of raising
+    reads = []
+
+    def spy(ws, mode):
+        o = _oracles(ws, mode)
+
+        def seen(lo, hi):
+            if len(lo):
+                reads.append((ws, int(lo.min()), int(hi.max())))
+
+        return identities._Oracles(
+            lambda ns: seen(ns, ns) or o.ind(ns),
+            lambda k, ms: seen(ms + 1 - k, ms) or o.sigma(k, ms),
+            lambda ms: seen(ms, ms) or o.coeff(ms),
+        )
+
+    monkeypatch.setattr(identities, "_oracles", spy)
+    # every order of the golden offset triples, (3, 5, 16) with s = 1 among them
+    for order in {o for triple in OFFSET_TRIPLES for o in itertools.permutations(triple)}:
+        t = Triple(*order)
+        offset = t.r > t.p * t.q
+        reads.clear()
+        verify_identity_bundle(
+            t, GENERIC_IDS + (tuple(OFFSET_CHECKS) if offset else ()), mode="exhaustive"
+        )
+        assert reads
+        for ws, lo, hi in reads:
+            assert -ws.pad <= lo and hi < ws.n, (ws.t, lo, hi)
+        if offset:  # both companion checks read one shared companion workspace
+            companion = Triple(t.p, t.q, t.r - t.p * t.q)
+            assert len({id(ws) for ws, _, _ in reads if ws.t == companion}) == 1, t
+
+
+@pytest.mark.parametrize("triple", [(3, 5, 16), (4, 5, 23)])
+def test_padded_oracles_match_direct_evaluation(triple):
+    t = Triple(*triple)
+    ws = _Workspace(t)
+    o = _oracles(ws, "exhaustive")
+    xs = np.arange(-ws.pad, t.product)
+    assert np.array_equal(o.ind(xs), indicator_many(xs, t))
+    for k in sorted({1, t.p, t.q, t.r - t.p * t.q}):
+        ms = xs[k - 1 :]  # windows (m - k, m] inside [-pad, product)
+        assert np.array_equal(o.sigma(k, ms), _sigma_many(t, k, ms)), k
+    vec = coeffs_series(t)
+    assert o.coeff(xs).tolist() == [vec.coefficient(int(m)) for m in xs]
