@@ -1,5 +1,6 @@
-"""Small exact-arithmetic helpers: inverses, two-generator membership and
-coprime pair enumeration."""
+"""Small exact-arithmetic helpers: modular inverses and coprime pair
+enumeration.  Membership in the semigroup <p, q> is decided in
+represent.semigroup_representative."""
 
 from __future__ import annotations
 
@@ -17,23 +18,6 @@ def mod_inverse(a: int, modulus: int) -> int:
         return pow(a, -1, modulus)
     except ValueError:
         raise NotInvertible(f"{a} has no inverse modulo {modulus}") from None
-
-
-def in_semigroup(n: int, p: int, q: int) -> bool:
-    """Whether n = x*q + y*p has a solution with integers x, y >= 0.
-
-    p and q must be coprime and >= 2.  Runs in O(1): x is forced modulo p,
-    so n is representable iff the smallest admissible x already fits.
-    """
-    if p < 2 or q < 2:
-        raise InvalidParameters(f"generators must be >= 2, got {p}, {q}")
-    if gcd(p, q) != 1:
-        raise InvalidParameters(f"generators must be coprime, got {p}, {q}")
-    if n < 0:
-        return False
-    x = n * mod_inverse(q, p) % p
-    rest = n - x * q
-    return rest >= 0 and rest % p == 0
 
 
 def enumerate_coprime_pairs(

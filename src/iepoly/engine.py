@@ -234,20 +234,22 @@ def coeffs_window(t: Triple, cap: int | None = None) -> CoefficientVector:
     )
 
 
-def coefficient_at(t: Triple, m: int) -> int:
-    """Single coefficient a_m without materializing the vector.
+def coefficient_at(t: Triple, m: int | np.ndarray) -> int | np.ndarray:
+    """Coefficient a_m without materializing the vector.
 
-    Valid for -product < m < product; indices outside [0, degree] give 0,
-    consistently with the window identity itself.
+    Takes an int m, giving an int, or an int64 array of m, giving an int64
+    array.  Valid for -product < m < product; indices outside [0, degree]
+    give 0, consistently with the window identity itself.
     """
     if not t.is_ternary():
         raise InvalidTriple(f"single-coefficient path needs a ternary triple, got {t}")
-    if not -t.product < m < t.product:
+    ms = np.asarray(m, dtype=np.int64)
+    if ms.size and not -t.product < ms.min() <= ms.max() < t.product:
         raise DomainExceeded(f"m={m} is outside (-{t.product}, {t.product}) for {t}")
     u, v, w = t.sorted()
     return (
-        window_count(u, m, t)
-        - window_count(u, m - v, t)
-        - window_count(u, m - w, t)
-        + window_count(u, m - v - w, t)
+        window_count(u, ms, t)
+        - window_count(u, ms - v, t)
+        - window_count(u, ms - w, t)
+        + window_count(u, ms - v - w, t)
     )

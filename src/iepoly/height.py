@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import coeffs_series, coeffs_window
+from .engine import coeffs_series
 from .errors import InvalidParameters, NotConsecutive
 from .represent import Triple
 
@@ -45,30 +45,18 @@ class HeightRecord:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def _coefficient_stats(t: Triple, engine: str, cap: int | None):
-    """(a_minus, a_plus, value counts) from the cheapest faithful vector."""
-    if engine == "series":
-        vec = coeffs_series(t, mode="half", cap=cap)
-    elif engine == "window":
-        vec = coeffs_window(t, cap=cap)
-    else:
-        raise InvalidParameters(f"engine must be 'series' or 'window', got {engine!r}")
-    coeffs = vec.coeffs
-    a_minus = int(coeffs.min())
-    a_plus = int(coeffs.max())
-    coeffs -= a_minus  # the vector is ours alone: shift it in place
-    counts = np.bincount(coeffs, minlength=a_plus - a_minus + 1)
-    return a_minus, a_plus, counts
-
-
-def height(t: Triple, engine: str = "series", cap: int | None = None) -> HeightRecord:
+def height(t: Triple, cap: int | None = None) -> HeightRecord:
     """Full coefficient statistics for one triple.
 
     The half vector suffices: mirror symmetry makes its value set equal to
     the full one.  Raises NotConsecutive if the observed coefficient values
     skip an integer between the extremes, which no valid input should do.
     """
-    a_minus, a_plus, counts = _coefficient_stats(t, engine, cap)
+    coeffs = coeffs_series(t, mode="half", cap=cap).coeffs
+    a_minus = int(coeffs.min())
+    a_plus = int(coeffs.max())
+    coeffs -= a_minus  # the vector is ours alone: shift it in place
+    counts = np.bincount(coeffs, minlength=a_plus - a_minus + 1)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise NotConsecutive(t, int(missing[0]) + a_minus, a_minus, a_plus)
@@ -86,14 +74,13 @@ def height(t: Triple, engine: str = "series", cap: int | None = None) -> HeightR
     )
 
 
-def coefficient_set(t: Triple, engine: str = "series", cap: int | None = None) -> tuple[int, ...]:
+def coefficient_set(t: Triple) -> tuple[int, ...]:
     """Sorted set of coefficient values; requires a fully ternary triple."""
     if not t.is_ternary():
         raise InvalidParameters(f"coefficient_set needs all elements >= 3, got {t}")
-    return height(t, engine=engine, cap=cap).coeff_set
+    return height(t).coeff_set
 
 
-def is_flat(t: Triple, cap: int | None = None) -> bool:
+def is_flat(t: Triple) -> bool:
     """Whether every coefficient lies in {-1, 0, 1}."""
-    a_minus, a_plus, _ = _coefficient_stats(t, "series", cap)
-    return a_minus >= -1 and a_plus <= 1
+    return height(t).flat

@@ -22,11 +22,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import mod_inverse
-from .engine import coeffs_series, degree
+from .engine import coefficient_at, coeffs_series, degree
 from .errors import PreconditionViolated, UnknownCheck
 from .report import VerificationReport
-from .represent import Triple, indicator_many, indicator_range
+from .represent import (
+    Triple,
+    indicator_many,
+    indicator_range,
+    semigroup_representative,
+    window_count,
+)
 
 # Auto mode exhausts the full domain up to this product and samples beyond.
 EXHAUSTIVE_PRODUCT_LIMIT = 100_000
@@ -34,8 +39,6 @@ EXHAUSTIVE_PRODUCT_LIMIT = 100_000
 # Largest degree for which sampled checks pull single coefficients out of a
 # materialized series vector; beyond it they fall back to window sums.
 _SERIES_SAMPLING_LIMIT = 4_000_000
-
-_CHUNK = 1 << 22
 
 
 class _Workspace:
@@ -96,26 +99,13 @@ class _Workspace:
         return _Workspace(Triple(self.t.p, self.t.q, _offset(self.t)))
 
 
-def _sigma_many(t: Triple, k: int, ms: np.ndarray) -> np.ndarray:
-    """Direct window counts for sampled positions, chunked for memory."""
-    ms = np.asarray(ms, dtype=np.int64)
-    out = np.empty(len(ms), dtype=np.int64)
-    step = max(_CHUNK // max(k, 1), 1)
-    offsets = np.arange(k, dtype=np.int64)
-    for i in range(0, len(ms), step):
-        block = ms[i : i + step, None] - offsets[None, :]
-        ind = indicator_many(block.ravel(), t).reshape(-1, k)
-        out[i : i + step] = ind.sum(axis=1, dtype=np.int64)
-    return out
-
-
 def _coeff_getter(ws: _Workspace):
     """a_m lookup for sampled positions; 0 outside [0, degree].  Reads the
-    workspace's series vector, which one bundle computes once."""
+    workspace's series vector, which one bundle computes once, or beyond
+    _SERIES_SAMPLING_LIMIT evaluates coefficient_at."""
     t, deg = ws.t, degree(ws.t)
     if deg > _SERIES_SAMPLING_LIMIT:
-        u, v, w = t.sorted()
-        return lambda ms: _window_sum(partial(_sigma_many, t), u, ms, v, w)
+        return lambda ms: coefficient_at(t, ms)
     return lambda ms: np.where((ms >= 0) & (ms <= deg), ws.series[np.clip(ms, 0, deg)], 0)
 
 
@@ -134,7 +124,7 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
     if mode == "sampled":
         return _Oracles(
             lambda ns: indicator_many(ns, t),
-            lambda k, ms: _sigma_many(t, k, ms),
+            lambda k, ms: window_count(k, ms, t),
             _coeff_getter(ws),
         )
     return _Oracles(
@@ -275,24 +265,11 @@ def _check_below_multiple(t, pivot, ind, pos):
     return _verdict(ind(ks * pivot - js * shift) != 0, len(ks), k=ks, j=js, pivot=pivot)
 
 
-def _threshold_vec(t: Triple, pivot: int, ns: np.ndarray) -> np.ndarray:
-    """Vectorized semigroup representatives of ns for the given pivot."""
-    a, b = t.others(pivot)
-    ab = a * b
-    rstar = mod_inverse(pivot % ab, ab) if ab > 1 else 0
-    c = ns % ab * rstar % ab
-    if a == 1 or b == 1:
-        return c
-    inv = mod_inverse(b % a, a)
-    rest = c - (c % a * inv % a) * b
-    return np.where(rest >= 0, c, c + ab)
-
-
 @_per_case(Triple.as_tuple)
 def _check_threshold_agreement(t, pivot, ind, pos):
     """Representability agrees with the semigroup threshold for every pivot."""
     (ns,) = pos((0, t.product))
-    reps = _threshold_vec(t, pivot, ns)
+    reps = semigroup_representative(ns, t, pivot)
     bad = (reps <= ns // pivot) != (ind(ns) == 1)
     return _verdict(bad, len(ns), n=ns, pivot=pivot, rep=reps)
 
@@ -307,8 +284,8 @@ def _check_representative_residue(t, ws, rng, samples, mode, s=None):
         ns = np.concatenate([np.arange(off, off + pq) for off in (0, -pq, pq, 2 * pq)])
     else:
         (ns,) = _positions(rng, samples, mode, (0, t.product))
-    tc = Triple(p, q, s_val)
-    bad = _threshold_vec(t, r, ns) != _threshold_vec(tc, s_val, ns % pq)
+    rep_c = semigroup_representative(ns % pq, Triple(p, q, s_val), s_val)
+    bad = semigroup_representative(ns, t, r) != rep_c
     return _verdict(bad, len(ns), n=ns, s=s_val)
 
 

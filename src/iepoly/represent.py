@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import in_semigroup, mod_inverse
+from .arith import mod_inverse
 from .errors import DomainExceeded, InvalidParameters, InvalidTriple
 
 # Vectorized paths accumulate up to three table entries below p*q*r each,
@@ -30,6 +30,13 @@ _PRODUCT_LIMIT = 1 << 60
 
 # Positions per indicator block: its int64 temporaries stay in cache.
 _BLOCK = 1 << 16
+
+# Expanded window positions per window_count chunk, which bounds its memory.
+_CHUNK = 1 << 22
+
+# Largest modulus whose residue products, below its square, fit in int64:
+# isqrt(2^63 - 1).
+_INT64_SQRT = 3_037_000_499
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,7 @@ def is_representable(n: int, t: Triple) -> bool:
 
     Defined for n < product; negative n are never representable.
     """
-    c = _context(t)
-    if n >= c.product:
-        raise DomainExceeded(f"n={n} is outside [{-c.product}, {c.product}) for {t}")
-    if n < 0:
-        return False
-    return decompose(n, t).delta == 0
+    return bool(indicator_many(n, t))
 
 
 def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
@@ -168,16 +170,26 @@ def indicator_range(t: Triple, stop: int) -> np.ndarray:
     return indicator_many(np.arange(max(stop, 0), dtype=np.int64), t)
 
 
-def semigroup_representative(n: int, t: Triple, pivot: int) -> int:
+def semigroup_representative(n: int | np.ndarray, t: Triple, pivot: int) -> int | np.ndarray:
     """x_n*q + y_n*p, where pivot plays r and p, q are the other elements.
 
     Equals the smallest N >= 0 with N = x*q + y*p (x, y >= 0) in the class
     of n * pivot^(-1) modulo p*q; computed from that residue directly.
+    Takes an int, giving an int, or an int64 array, giving an int64 array.
     """
     p, q = t.others(pivot)
     pq = p * q
-    c = n * mod_inverse(pivot % pq, pq) % pq
-    return c if in_semigroup(c, p, q) else c + pq
+    ns = np.asarray(n, dtype=np.int64)
+    res = ns % pq
+    if pq > _INT64_SQRT:  # the residue product below would wrap in int64
+        res = res.astype(object)
+    c = np.asarray(res * mod_inverse(pivot % pq, pq) % pq)
+    if min(p, q) > 1:
+        # c is in <p, q> iff c = x*q + y*p with x = c * q^(-1) mod p, y >= 0
+        x = c % p * mod_inverse(q % p, p) % p
+        c = np.where(c >= x * q, c, c + pq)
+    out = c.astype(np.int64, copy=False)
+    return int(out) if ns.ndim == 0 else out
 
 
 def is_representable_via_threshold(n: int, t: Triple, pivot: int) -> bool:
@@ -191,19 +203,28 @@ def is_representable_via_threshold(n: int, t: Triple, pivot: int) -> bool:
     return semigroup_representative(n, t, pivot) <= n // pivot
 
 
-def window_count(k: int, m: int, t: Triple) -> int:
+def window_count(k: int, m: int | np.ndarray, t: Triple) -> int | np.ndarray:
     """Number of representable integers in the window (m-k, m].
 
-    Requires k >= 0 and m < product; the window may reach below zero,
-    where nothing is representable.
+    Takes an int m, giving an int, or an int64 array of m, giving an int64
+    array.  Requires k >= 0 and m < product; the window may reach below
+    zero, where nothing is representable.  Works through chunks of _CHUNK
+    expanded positions.
     """
     if k < 0:
         raise InvalidParameters(f"window length must be >= 0, got {k}")
-    if m >= t.product:
-        raise DomainExceeded(f"m={m} is outside the domain for {t}")
-    if k == 0 or m < 0:
-        return 0
-    lo = max(m - k + 1, 0)
-    if lo > m:
-        return 0
-    return int(indicator_many(np.arange(lo, m + 1, dtype=np.int64), t).sum())
+    ms = np.asarray(m, dtype=np.int64)
+    flat = ms.ravel()
+    top = int(flat.max()) if flat.size else -1
+    if top >= t.product:
+        raise DomainExceeded(f"m={top} is outside the domain for {t}")
+    # nothing below zero counts, so no window need reach below it
+    k = min(k, max(top + 1, 0))
+    out = np.zeros(flat.size, dtype=np.int64)
+    if k:
+        step = max(_CHUNK // k, 1)
+        offsets = np.arange(k, dtype=np.int64)
+        for i in range(0, flat.size, step):
+            block = flat[i : i + step, None] - offsets[None, :]
+            out[i : i + step] = indicator_many(block, t).sum(axis=1, dtype=np.int64)
+    return int(out[0]) if ms.ndim == 0 else out.reshape(ms.shape)

@@ -83,36 +83,21 @@ def enumerate_coprime_triples(
 # ---------------------------------------------------------------------------
 
 
-def _height_record(kind: str, key: tuple) -> dict:
+def _record(kind: str, key: tuple, s: int | None = None, target: int | None = None) -> dict:
+    """The record of one key: the height record of the triple `key`, or for
+    a pair task the height at (p, q, p*q + s) against the target height."""
+    triple = key if s is None else (*key, key[0] * key[1] + s)
+    head = {"task": kind, "key": list(key)}
     try:
-        rec = height(Triple(*key))
+        rec = height(Triple(*triple))
     except IEPolyError as exc:
-        return {
-            "task": kind,
-            "key": list(key),
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        }
-    return {"task": kind, "key": list(key), **rec.to_dict()}
-
-
-def _pair_record(kind: str, key: tuple, s: int, target: int) -> dict:
-    p, q = key
-    r = p * q + s
-    try:
-        rec = height(Triple(p, q, r))
-    except IEPolyError as exc:
-        return {
-            "task": kind,
-            "key": list(key),
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        }
+        return {**head, "error": type(exc).__name__, "detail": str(exc)}
+    if s is None:
+        return {**head, **rec.to_dict()}
     return {
-        "task": kind,
-        "key": list(key),
+        **head,
         "s": s,
-        "r": r,
+        "r": triple[2],
         "height": rec.height,
         "target": target,
         "solution": rec.height == target,
@@ -131,7 +116,7 @@ def _task_items(task: SearchTask) -> tuple[list[tuple], object]:
             ]
         else:
             keys = [t.as_tuple() for t in triples]
-        return keys, partial(_height_record, task.kind)
+        return keys, partial(_record, task.kind)
     (p_lo, p_hi), (q_lo, q_hi) = task.ranges
     keys = [
         (p, q)
@@ -143,7 +128,7 @@ def _task_items(task: SearchTask) -> tuple[list[tuple], object]:
     else:
         sup, _ = bounded_height_sup(task.s, max(p_hi, q_hi))
         target = sup + 1
-    return keys, partial(_pair_record, task.kind, s=task.s, target=target)
+    return keys, partial(_record, task.kind, s=task.s, target=target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from iepoly.arith import in_semigroup, mod_inverse
+from iepoly.arith import mod_inverse
 from iepoly.errors import InvalidParameters, NotInvertible
-
-from helpers import brute_in_semigroup
 
 
 def test_mod_inverse():
@@ -24,14 +22,3 @@ def test_mod_inverse_property(m, a):
             mod_inverse(a, m)
     else:
         assert a * mod_inverse(a, m) % m == 1
-
-
-@pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (4, 9), (3, 11)])
-def test_in_semigroup_matches_brute(p, q):
-    for n in range(-5, 3 * p * q):
-        assert in_semigroup(n, p, q) == brute_in_semigroup(n, p, q), n
-
-
-@given(st.integers(0, 30), st.integers(0, 30))
-def test_semigroup_members_accepted(x, y):
-    assert in_semigroup(x * 8 + y * 13, 13, 8)

@@ -95,8 +95,13 @@ def test_coefficient_at_matches_vector(p, q, r):
     for m in [-p * q * r + 1, -1, 0, 1, d // 2, d, d + 1, p * q * r - 1]:
         expect = int(vec[m]) if 0 <= m <= d else 0
         assert coefficient_at(t, m) == expect, m
+    ms = np.arange(-p * q * r + 1, p * q * r)
+    expect = np.where((ms >= 0) & (ms <= d), vec[np.clip(ms, 0, d)], 0)
+    assert np.array_equal(coefficient_at(t, ms), expect)
     with pytest.raises(DomainExceeded):
         coefficient_at(t, p * q * r)
+    with pytest.raises(DomainExceeded):
+        coefficient_at(t, np.array([0, -p * q * r]))
 
 
 def test_permutation_invariance():

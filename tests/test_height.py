@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import iepoly.height  # noqa: F401  - force the submodule into sys.modules
-from iepoly.errors import InvalidParameters, NotConsecutive
+from iepoly.errors import NotConsecutive
 from iepoly.height import coefficient_set, height, is_flat
 from iepoly.represent import Triple
 
@@ -50,14 +50,6 @@ def test_degenerate_conventions():
     assert rec.literal_max == 1  # literal value still recorded
 
 
-def test_window_engine_height():
-    a = height(Triple(3, 5, 17), engine="series")
-    b = height(Triple(3, 5, 17), engine="window")
-    assert a.to_dict() == b.to_dict()
-    with pytest.raises(InvalidParameters):
-        height(Triple(3, 5, 7), engine="nope")
-
-
 def test_coefficient_set_consecutive():
     cs = coefficient_set(Triple(3, 5, 7))
     assert cs == (-2, -1, 0, 1)
@@ -82,11 +74,10 @@ def test_gap_detection(monkeypatch):
     # a fabricated spectrum with a hole must be rejected, not silently summarized
     import numpy as np
 
-    def fake_stats(t, engine, cap):
-        counts = np.array([5, 0, 7], dtype=np.int64)  # -1 missing between -2..0
-        return -2, 0, counts
+    class FakeHalf:
+        coeffs = np.array([-2, 0, -2, 0], dtype=np.int64)  # -1 missing between -2..0
 
-    monkeypatch.setattr(height_mod, "_coefficient_stats", fake_stats)
+    monkeypatch.setattr(height_mod, "coeffs_series", lambda t, mode, cap: FakeHalf())
     with pytest.raises(NotConsecutive) as err:
         height(Triple(3, 5, 7))
     assert err.value.missing == -1

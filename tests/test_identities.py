@@ -13,11 +13,12 @@ from iepoly.identities import (
     OFFSET_CHECKS,
     _Workspace,
     _oracles,
-    _sigma_many,
     verify_identity,
     verify_identity_bundle,
 )
-from iepoly.represent import Triple, indicator_many
+from iepoly.represent import Triple, indicator_many, semigroup_representative, window_count
+
+from helpers import brute_representative
 
 GENERIC_IDS = tuple(GENERIC_CHECKS) + ("representative-residue",)
 
@@ -55,6 +56,21 @@ def test_sampled_on_large_triple():
     for rep in verify_identity_bundle(t, samples=500, seed=5):
         assert rep.mode == "sampled"
         assert rep.passed, rep
+
+
+def test_threshold_agreement_beyond_int64_residues():
+    # pq > isqrt(2^63 - 1): residue products no longer fit in int64
+    t = Triple(60001, 60002, 11)
+    rep = verify_identity("threshold-agreement", t, mode="sampled", samples=3000, seed=1)
+    assert rep.passed, rep
+    rng = np.random.default_rng(3)
+    for p, q, r in [(60001, 60002, 11), (65537, 65539, 5)]:
+        t = Triple(p, q, r)
+        ns = rng.integers(0, t.product, size=2000)
+        got = semigroup_representative(ns, t, r)
+        assert got.tolist() == [semigroup_representative(n, t, r) for n in ns.tolist()]
+        for n in ns[:4].tolist():
+            assert semigroup_representative(n, t, r) == brute_representative(n, p, q, r)
 
 
 def test_auto_mode_threshold():
@@ -200,6 +216,6 @@ def test_padded_oracles_match_direct_evaluation(triple):
     assert np.array_equal(o.ind(xs), indicator_many(xs, t))
     for k in sorted({1, t.p, t.q, t.r - t.p * t.q}):
         ms = xs[k - 1 :]  # windows (m - k, m] inside [-pad, product)
-        assert np.array_equal(o.sigma(k, ms), _sigma_many(t, k, ms)), k
+        assert np.array_equal(o.sigma(k, ms), window_count(k, ms, t)), k
     vec = coeffs_series(t)
     assert o.coeff(xs).tolist() == [vec.coefficient(int(m)) for m in xs]

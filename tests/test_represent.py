@@ -133,8 +133,12 @@ def test_indicator_domain():
 @pytest.mark.parametrize("p,q,r", [(3, 5, 7), (5, 7, 11), (3, 5, 17)])
 def test_semigroup_representative_matches_brute(p, q, r):
     t = Triple(p, q, r)
-    for n in range(-p * q, 2 * p * q):
-        assert semigroup_representative(n, t, r) == brute_representative(n, p, q, r)
+    for pivot, (a, b) in ((r, (p, q)), (p, (q, r)), (q, (p, r))):
+        ns = np.arange(-a * b, 2 * a * b)
+        expect = [brute_representative(n, a, b, pivot) for n in ns.tolist()]
+        assert [semigroup_representative(n, t, pivot) for n in ns.tolist()] == expect
+        got = semigroup_representative(ns, t, pivot)
+        assert got.dtype == np.int64 and got.tolist() == expect, pivot
 
 
 @pytest.mark.parametrize("p,q,r", [(3, 5, 7), (4, 9, 35), (3, 5, 17)])
@@ -157,6 +161,13 @@ def test_window_count_small():
             assert window_count(k, m, t) == expect, (k, m)
     assert window_count(5, -1, t) == 0
     assert window_count(0, 50, t) == 0
+    ms = np.arange(-3, 105)
+    for k in (0, 1, 3, 10, 200):
+        expect = [sum(ind[max(m - k + 1, 0) : max(m + 1, 0)]) for m in ms.tolist()]
+        got = window_count(k, ms, t)
+        assert got.dtype == np.int64 and got.tolist() == expect, k
+    with pytest.raises(DomainExceeded):
+        window_count(0, np.array([3, 105]), t)
 
 
 @settings(max_examples=200)
