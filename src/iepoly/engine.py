@@ -244,8 +244,11 @@ def coefficient_at(t: Triple, m: int | np.ndarray) -> int | np.ndarray:
     if not t.is_ternary():
         raise InvalidTriple(f"single-coefficient path needs a ternary triple, got {t}")
     ms = np.asarray(m, dtype=np.int64)
-    if ms.size and not -t.product < ms.min() <= ms.max() < t.product:
-        raise DomainExceeded(f"m={m} is outside (-{t.product}, {t.product}) for {t}")
+    if ms.size:
+        lo, hi = int(ms.min()), int(ms.max())
+        if not -t.product < lo <= hi < t.product:
+            bad = lo if lo <= -t.product else hi
+            raise DomainExceeded(f"m={bad} is outside (-{t.product}, {t.product}) for {t}")
     u, v, w = t.sorted()
     return (
         window_count(u, ms, t)

@@ -180,16 +180,17 @@ def semigroup_representative(n: int | np.ndarray, t: Triple, pivot: int) -> int 
     p, q = t.others(pivot)
     pq = p * q
     ns = np.asarray(n, dtype=np.int64)
-    res = ns % pq
-    if pq > _INT64_SQRT:  # the residue product below would wrap in int64
-        res = res.astype(object)
-    c = np.asarray(res * mod_inverse(pivot % pq, pq) % pq)
+    # one dimension even for a scalar, so an object dtype lasts to the end
+    c = ns.reshape(-1) % pq
+    if pq > _INT64_SQRT:  # the residue products below would wrap in int64
+        c = c.astype(object)
+    c = c * mod_inverse(pivot % pq, pq) % pq
     if min(p, q) > 1:
         # c is in <p, q> iff c = x*q + y*p with x = c * q^(-1) mod p, y >= 0
         x = c % p * mod_inverse(q % p, p) % p
         c = np.where(c >= x * q, c, c + pq)
-    out = c.astype(np.int64, copy=False)
-    return int(out) if ns.ndim == 0 else out
+    out = c.astype(np.int64)
+    return int(out[0]) if ns.ndim == 0 else out.reshape(ns.shape)
 
 
 def is_representable_via_threshold(n: int, t: Triple, pivot: int) -> bool:

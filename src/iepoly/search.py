@@ -86,22 +86,17 @@ def enumerate_coprime_triples(
 def _record(kind: str, key: tuple, s: int | None = None, target: int | None = None) -> dict:
     """The record of one key: the height record of the triple `key`, or for
     a pair task the height at (p, q, p*q + s) against the target height."""
-    triple = key if s is None else (*key, key[0] * key[1] + s)
     head = {"task": kind, "key": list(key)}
     try:
-        rec = height(Triple(*triple))
+        if s is None:
+            return {**head, **height(Triple(*key)).to_dict()}
+        r = key[0] * key[1] + s
+        h = height(Triple(*key, r)).height
+        return {
+            **head, "s": s, "r": r, "height": h, "target": target, "solution": h == target
+        }
     except IEPolyError as exc:
         return {**head, "error": type(exc).__name__, "detail": str(exc)}
-    if s is None:
-        return {**head, **rec.to_dict()}
-    return {
-        **head,
-        "s": s,
-        "r": triple[2],
-        "height": rec.height,
-        "target": target,
-        "solution": rec.height == target,
-    }
 
 
 def _task_items(task: SearchTask) -> tuple[list[tuple], object]:

@@ -100,7 +100,7 @@ def test_coefficient_at_matches_vector(p, q, r):
     assert np.array_equal(coefficient_at(t, ms), expect)
     with pytest.raises(DomainExceeded):
         coefficient_at(t, p * q * r)
-    with pytest.raises(DomainExceeded):
+    with pytest.raises(DomainExceeded, match=f"m={-p * q * r} is outside"):
         coefficient_at(t, np.array([0, -p * q * r]))
 
 

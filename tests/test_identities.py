@@ -16,7 +16,13 @@ from iepoly.identities import (
     verify_identity,
     verify_identity_bundle,
 )
-from iepoly.represent import Triple, indicator_many, semigroup_representative, window_count
+from iepoly.represent import (
+    Triple,
+    indicator_many,
+    is_representable_via_threshold,
+    semigroup_representative,
+    window_count,
+)
 
 from helpers import brute_representative
 
@@ -71,6 +77,22 @@ def test_threshold_agreement_beyond_int64_residues():
         assert got.tolist() == [semigroup_representative(n, t, r) for n in ns.tolist()]
         for n in ns[:4].tolist():
             assert semigroup_representative(n, t, r) == brute_representative(n, p, q, r)
+    # an element p > isqrt(2^63 - 1), whose residue products wrap in int64
+    # far from a multiple of p: scalar calls must stay exact as well
+    big = 3999999997
+    t = Triple(big, 3, 5)
+    ns = rng.integers(0, t.product, size=200)
+    for pivot, other in [(5, 3), (3, 5)]:
+        # brute_representative loops over multiples of its second element
+        expect = [brute_representative(n, other, big, pivot) for n in ns.tolist()]
+        assert [semigroup_representative(n, t, pivot) for n in ns.tolist()] == expect
+        assert semigroup_representative(ns, t, pivot).tolist() == expect
+    # pivot big leaves <3, 5>, whose residue products are small; the other
+    # two pivots take the wide path and must decide alike
+    for n in ns.tolist():
+        expect = is_representable_via_threshold(n, t, big)
+        assert is_representable_via_threshold(n, t, 3) == expect, n
+        assert is_representable_via_threshold(n, t, 5) == expect, n
 
 
 def test_auto_mode_threshold():
