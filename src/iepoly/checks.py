@@ -48,15 +48,23 @@ def _triple(p: int, q: int, r: int) -> Triple:
 
 
 def _residue_relation(r: int, s: int, modulus: int) -> str:
-    same = (r - s) % modulus == 0
-    opposite = (r + s) % modulus == 0
-    if same:
+    if (r - s) % modulus == 0:
         return "same"
-    if opposite:
+    if (r + s) % modulus == 0:
         return "opposite"
     raise PreconditionViolated(
         f"{r} is congruent to neither {s} nor -{s} modulo {modulus}"
     )
+
+
+def _pair_relation(p: int, q: int, r: int, s: int) -> str:
+    """The hypotheses of the pairwise residue checks: r, s > max(p, q) and
+    r = +-s modulo p*q.  Returns "same" or "opposite"."""
+    if min(r, s) <= max(p, q):
+        raise PreconditionViolated(
+            f"both third elements must exceed max(p, q) = {max(p, q)}"
+        )
+    return _residue_relation(r, s, p * q)
 
 
 def verify_height_residue(p: int, q: int, r: int, s: int) -> VerificationReport:
@@ -64,11 +72,7 @@ def verify_height_residue(p: int, q: int, r: int, s: int) -> VerificationReport:
 
     Requires r, s > max(p, q) and r = +-s modulo p*q.
     """
-    if min(r, s) <= max(p, q):
-        raise PreconditionViolated(
-            f"both third elements must exceed max(p, q) = {max(p, q)}"
-        )
-    relation = _residue_relation(r, s, p * q)
+    relation = _pair_relation(p, q, r, s)
     h_r = _height_value(p, q, r)
     h_s = _height_value(p, q, s)
     return VerificationReport(
@@ -81,28 +85,15 @@ def verify_height_residue(p: int, q: int, r: int, s: int) -> VerificationReport:
     )
 
 
-def verify_coeffset_residue(
-    p: int, q: int, r: int, s: int, relation: str = "auto"
-) -> VerificationReport:
-    """Coefficient sets agree (same class) or negate (opposite class).
+def verify_coeffset_residue(p: int, q: int, r: int, s: int) -> VerificationReport:
+    """Coefficient sets agree when r = s and negate when r = -s modulo p*q.
 
-    Requires r, s > max(p, q).  An explicit relation that contradicts the
-    actual residues is rejected rather than silently overridden.
+    Requires r, s > max(p, q); the relation follows from the residues.
     """
-    if min(r, s) <= max(p, q):
-        raise PreconditionViolated(
-            f"both third elements must exceed max(p, q) = {max(p, q)}"
-        )
-    actual = _residue_relation(r, s, p * q)
-    if relation not in ("auto", "same", "opposite"):
-        raise PreconditionViolated(f"unknown relation {relation!r}")
-    if relation != "auto" and relation != actual:
-        raise PreconditionViolated(
-            f"stated relation {relation!r} contradicts the residues ({actual})"
-        )
+    relation = _pair_relation(p, q, r, s)
     set_r = coefficient_set(_triple(p, q, r))
     set_s = coefficient_set(_triple(p, q, s))
-    expected = set_s if actual == "same" else tuple(sorted(-c for c in set_s))
+    expected = set_s if relation == "same" else tuple(sorted(-c for c in set_s))
     passed = set_r == expected
     return VerificationReport(
         check_id="coeffset-residue",
@@ -110,7 +101,7 @@ def verify_coeffset_residue(
         passed=passed,
         checked=len(set_r) + len(set_s),
         witness=None if passed else {"sets": [list(set_r), list(set_s)]},
-        detail=f"{actual}-class sets {list(set_r)} and {list(set_s)}",
+        detail=f"{relation}-class sets {list(set_r)} and {list(set_s)}",
     )
 
 
@@ -252,58 +243,40 @@ def verify_known_values() -> list[VerificationReport]:
     return reports
 
 
-def survey_residue_classes(p: int, q: int, multiplier: int = 3) -> list[VerificationReport]:
+def survey_residue_classes(p: int, q: int) -> list[VerificationReport]:
     """Grouped form of the residue-class identities for one pair.
 
-    Scans every admissible third element t <= multiplier*p*q, groups by the
-    residue class of t modulo p*q folded under negation, and asserts one
-    height per folded class and (anti)equal coefficient sets per class pair.
-    Equivalent to running the pairwise checks over all hypothesis-satisfying
-    (r, s) combinations, at a fraction of the cost.
+    Scans every admissible third element max(p, q) < t <= 3*p*q and compares
+    each t with the first t of its residue class modulo p*q (the same
+    coefficient set), of the opposite class (the negated set) and of its
+    class folded under negation (the same height).  Equivalent to running
+    the pairwise checks over all hypothesis-satisfying (r, s) combinations,
+    at a fraction of the cost.
     """
     if gcd(p, q) != 1:
         raise PreconditionViolated(f"{p} and {q} are not coprime")
     pq = p * q
-    lo = max(p, q)
-    sets_by_t: dict[int, tuple[int, ...]] = {}
-    for t in range(lo + 1, multiplier * pq + 1):
+    first_set: dict[int, tuple[int, tuple[int, ...]]] = {}  # class -> (t, set)
+    first_height: dict[int, tuple[int, int]] = {}  # folded class -> (t, height)
+    height_bad = set_bad = None
+    n = 0
+    for t in range(max(p, q) + 1, 3 * pq + 1):
         if gcd(t, pq) != 1:
             continue
-        sets_by_t[t] = coefficient_set(Triple(p, q, t))
-
-    by_height: dict[int, dict[int, tuple[int, int]]] = {}
-    by_set: dict[int, dict[tuple[int, ...], int]] = {}
-    height_bad = None
-    set_bad = None
-    for t, cs in sets_by_t.items():
+        n += 1
+        cs = coefficient_set(Triple(p, q, t))
         h = max(cs[-1], -cs[0])
-        folded = min(t % pq, pq - t % pq)
-        seen = by_height.setdefault(folded, {})
-        if h not in seen:
-            seen[h] = t
-        if len(seen) > 1 and height_bad is None:
-            height_bad = {
-                "class": folded,
-                "examples": [[t_, h_] for h_, t_ in sorted(seen.items())],
-            }
         cls = t % pq
-        reps = by_set.setdefault(cls, {})
-        if cs not in reps:
-            reps[cs] = t
-        if len(reps) > 1 and set_bad is None:
-            set_bad = {"class": cls, "witnesses": {str(k): v for k, v in reps.items()}}
-    # opposite residue classes must carry elementwise-negated sets
-    if set_bad is None:
-        for cls, reps in by_set.items():
-            mirror = by_set.get(pq - cls)
-            if not mirror:
-                continue
-            cs = next(iter(reps))
-            ms = next(iter(mirror))
-            if tuple(sorted(-c for c in cs)) != ms:
-                set_bad = {"class": cls, "witnesses": [list(cs), list(ms)]}
-                break
-    n = len(sets_by_t)
+        folded = min(cls, pq - cls)
+        t0, h0 = first_height.setdefault(folded, (t, h))
+        if h != h0 and height_bad is None:
+            height_bad = {"class": folded, "examples": [[t0, h0], [t, h]]}
+        t0, cs0 = first_set.setdefault(cls, (t, cs))
+        mirror = first_set.get(pq - cls)
+        if cs != cs0 and set_bad is None:
+            set_bad = {"class": cls, "witnesses": [[t0, list(cs0)], [t, list(cs)]]}
+        elif mirror and tuple(sorted(-c for c in cs)) != mirror[1] and set_bad is None:
+            set_bad = {"class": cls, "witnesses": [[mirror[0], list(mirror[1])], [t, list(cs)]]}
     return [
         VerificationReport(
             check_id="height-residue",
@@ -311,7 +284,7 @@ def survey_residue_classes(p: int, q: int, multiplier: int = 3) -> list[Verifica
             passed=height_bad is None,
             checked=n,
             witness=height_bad,
-            detail=f"{n} third elements in {len(by_height)} folded classes",
+            detail=f"{n} third elements in {len(first_height)} folded classes",
         ),
         VerificationReport(
             check_id="coeffset-residue",
@@ -319,7 +292,7 @@ def survey_residue_classes(p: int, q: int, multiplier: int = 3) -> list[Verifica
             passed=set_bad is None,
             checked=n,
             witness=set_bad,
-            detail=f"{n} third elements in {len(by_set)} classes",
+            detail=f"{n} third elements in {len(first_set)} classes",
         ),
     ]
 

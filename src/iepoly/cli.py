@@ -27,14 +27,14 @@ from .height import height
 from .represent import Triple
 from .search import SEARCH_KINDS, SearchTask, sweep_heights
 
-# whole-polynomial checks: positional parameter order, the checks function
-# (looked up by name at call time) and the options it takes from the CLI
+# whole-polynomial checks: positional parameter order and the checks
+# function, looked up by name at call time
 _BOUND_CHECKS = {
-    "height-residue": (("p", "q", "r", "s"), "verify_height_residue", ()),
-    "coeffset-residue": (("p", "q", "r", "s"), "verify_coeffset_residue", ("relation",)),
-    "recursive-bound": (("p", "q", "s", "r"), "verify_recursive_bound", ()),
-    "absolute-bound": (("p", "q", "s", "r"), "verify_absolute_bound", ()),
-    "iterated-bound": (("p", "q", "sign"), "verify_iterated_bound", ()),
+    "height-residue": (("p", "q", "r", "s"), "verify_height_residue"),
+    "coeffset-residue": (("p", "q", "r", "s"), "verify_coeffset_residue"),
+    "recursive-bound": (("p", "q", "s", "r"), "verify_recursive_bound"),
+    "absolute-bound": (("p", "q", "s", "r"), "verify_absolute_bound"),
+    "iterated-bound": (("p", "q", "sign"), "verify_iterated_bound"),
 }
 
 
@@ -49,18 +49,14 @@ def _triple_from(args) -> Triple:
     return Triple(args.p, args.q, args.r)
 
 
-def _cap_from(args) -> int | None:
-    return getattr(args, "degree_cap", None)
-
-
 def _cmd_coeffs(args) -> int:
     t = _triple_from(args)
     series = window = None
     if args.engine in (ENGINE_SERIES, "both"):
         mode = "half" if args.half else "full"
-        series = coeffs_series(t, mode=mode, cap=_cap_from(args))
+        series = coeffs_series(t, mode=mode, cap=args.degree_cap)
     if args.engine in (ENGINE_WINDOW, "both"):
-        window = coeffs_window(t, cap=_cap_from(args))
+        window = coeffs_window(t, cap=args.degree_cap)
         if args.half:
             window = window.lower_half()
     if series is not None and window is not None:
@@ -90,7 +86,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    rec = height(_triple_from(args), cap=_cap_from(args))
+    rec = height(_triple_from(args), cap=args.degree_cap)
     if args.json:
         print(rec.to_json())
     else:
@@ -125,14 +121,13 @@ def _cmd_verify(args) -> int:
         )
         return _report_exit(report, args.json)
     if cid in _BOUND_CHECKS:
-        names, fn_name, options = _BOUND_CHECKS[cid]
+        names, fn_name = _BOUND_CHECKS[cid]
         if len(params) != len(names):
             raise PreconditionViolated(
                 f"{cid} takes {' '.join(names)}, got {len(params)} values"
             )
         vals = [p if n == "sign" else _int_param(p) for n, p in zip(names, params)]
-        kwargs = {opt: getattr(args, opt) for opt in options}
-        report = getattr(checks, fn_name)(*vals, **kwargs)
+        report = getattr(checks, fn_name)(*vals)
         return _report_exit(report, args.json)
     raise PreconditionViolated(f"unknown check id {cid!r}")
 
@@ -245,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
     sp.add_argument("--s", type=int, default=None,
                     help="companion offset override where applicable")
-    sp.add_argument("--relation", choices=("auto", "same", "opposite"), default="auto")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_verify)
 
@@ -256,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--out", metavar="FILE")
     sp.add_argument("--resume", action="store_true",
-                    help="trust complete lines already in the output file")
+                    help="continue the output file in place, trusting its complete lines")
     sp.add_argument("--workers", type=int, default=None)
     sp.set_defaults(func=_cmd_search)
 

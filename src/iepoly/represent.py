@@ -95,22 +95,22 @@ class Representation(NamedTuple):
     delta: int
 
 
+def _cofactor_inverse(m: int, t: Triple) -> int:
+    """(product / m)^(-1) modulo the element m of t, or 0 when m = 1."""
+    return mod_inverse(t.product // m % m, m) if m > 1 else 0
+
+
 class _Context:
-    """Cached modular inverses and lookup tables for one triple ordering."""
+    """Lookup tables for one triple ordering."""
 
     def __init__(self, t: Triple):
-        p, q, r = t.p, t.q, t.r
-        self.triple = t
-        self.p, self.q, self.r = p, q, r
-        self.qr, self.rp, self.pq = q * r, r * p, p * q
-        self.product = p * q * r
-        self.inv_qr = mod_inverse(self.qr % p, p) if p > 1 else 0
-        self.inv_rp = mod_inverse(self.rp % q, q) if q > 1 else 0
-        self.inv_pq = mod_inverse(self.pq % r, r) if r > 1 else 0
+        self.p, self.q, self.r = t.as_tuple()
+        self.product = t.product
         # xtab[n % p] = x_n * q * r, and likewise for y, z
-        self.xtab = (np.arange(p, dtype=np.int64) * self.inv_qr % p) * self.qr
-        self.ytab = (np.arange(q, dtype=np.int64) * self.inv_rp % q) * self.rp
-        self.ztab = (np.arange(r, dtype=np.int64) * self.inv_pq % r) * self.pq
+        self.xtab, self.ytab, self.ztab = (
+            np.arange(m, dtype=np.int64) * _cofactor_inverse(m, t) % m * (t.product // m)
+            for m in t.as_tuple()
+        )
 
 
 @lru_cache(maxsize=128)
@@ -119,12 +119,14 @@ def _context(t: Triple) -> _Context:
 
 
 def decompose(n: int, t: Triple) -> Representation:
-    """Unique bounded-coordinate representation of n for the triple t."""
-    c = _context(t)
-    x = n % c.p * c.inv_qr % c.p
-    y = n % c.q * c.inv_rp % c.q
-    z = n % c.r * c.inv_pq % c.r
-    delta, rem = divmod(n - x * c.qr - y * c.rp - z * c.pq, c.product)
+    """Unique bounded-coordinate representation of n for the triple t.
+
+    Exact in Python ints and builds no lookup table, so it serves any
+    valid triple.
+    """
+    p, q, r = t.as_tuple()
+    x, y, z = (n % m * _cofactor_inverse(m, t) % m for m in (p, q, r))
+    delta, rem = divmod(n - x * q * r - y * r * p - z * p * q, t.product)
     if rem != 0:
         raise AssertionError(f"reconstruction failed for n={n}, t={t}")
     return Representation(x, y, z, delta)
@@ -133,7 +135,9 @@ def decompose(n: int, t: Triple) -> Representation:
 def is_representable(n: int, t: Triple) -> bool:
     """Indicator of representable n: delta = 0 in the decomposition.
 
-    Defined for n < product; negative n are never representable.
+    Defined for n < product; negative n are never representable.  The
+    one-element case of indicator_many, so it builds that function's
+    lookup tables, of sizes p, q and r.
     """
     return bool(indicator_many(n, t))
 

@@ -207,29 +207,25 @@ def _check_manifest(task: SearchTask, path: str) -> None:
 def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
     """Run a search task, appending one JSON line per key to `out`.
 
-    With task.resume_from set, complete lines of that file are trusted,
-    verified to be the exact prefix of this task's key sequence (and, when
-    a manifest sits beside it, to come from this very task), and not
-    recomputed; a trailing partial line is truncated away.  The final file
-    is byte-identical to an uninterrupted single-worker run.
+    With task.resume_from set (it must name `out`), complete lines of `out`
+    are trusted, verified to be the exact prefix of this task's key sequence
+    (and, when a manifest sits beside it, to come from this very task), and
+    not recomputed; a trailing partial line is truncated away.  The final
+    file is byte-identical to an uninterrupted single-worker run.
     """
+    if task.resume_from not in (None, out):
+        raise InvalidParameters(f"a sweep resumes its own output {out}, not {task.resume_from}")
     keys, compute = _task_items(task)
     done = 0
-    if task.resume_from is not None and os.path.exists(task.resume_from):
-        _check_manifest(task, task.resume_from)
-        prior, offset = _read_complete_lines(task.resume_from)
+    if task.resume_from is not None and os.path.exists(out):
+        _check_manifest(task, out)
+        prior, offset = _read_complete_lines(out)
         for i, rec in enumerate(prior):
             if i >= len(keys) or tuple(rec.get("key", ())) != keys[i]:
-                raise PersistenceError(
-                    f"{task.resume_from} does not match this task at line {i + 1}"
-                )
+                raise PersistenceError(f"{out} does not match this task at line {i + 1}")
         done = len(prior)
-        if task.resume_from == out:
-            with open(out, "rb+") as fh:
-                fh.truncate(offset)
-        else:
-            with open(task.resume_from, "rb") as src, open(out, "wb") as dst:
-                dst.write(src.read()[:offset])
+        with open(out, "rb+") as fh:
+            fh.truncate(offset)
     else:
         open(out, "wb").close()
 
@@ -271,12 +267,12 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
 # ---------------------------------------------------------------------------
 
 
-def _scan_pairs(s: int, p_max: int, q_max: int, target: int) -> dict:
-    """Height at p*q + s for every coprime pair coprime to s, and the pairs
-    where it equals target."""
+def _scan_pairs(s: int, p_max: int, target: int) -> dict:
+    """Height at p*q + s for every coprime pair 3 <= p < q <= p_max coprime
+    to s, and the pairs where it equals target."""
     records = []
     pairs = []
-    for p, q in enumerate_coprime_pairs(p_max, q_max, coprime_to=s):
+    for p, q in enumerate_coprime_pairs(p_max, p_max, coprime_to=s):
         val = height(Triple(p, q, p * q + s)).height
         records.append({"p": p, "q": q, "r": p * q + s, "height": val})
         if val == target:
@@ -284,12 +280,11 @@ def _scan_pairs(s: int, p_max: int, q_max: int, target: int) -> dict:
     return {"pairs": pairs, "checked": len(records), "records": records}
 
 
-def find_bound_attained_pairs(s: int, p_max: int, q_max: int | None = None) -> dict:
+def find_bound_attained_pairs(s: int, p_max: int) -> dict:
     """Coprime pairs with the height at p*q + s exactly equal to s."""
     if s < 1:
         raise InvalidParameters("offset must be at least 1")
-    q_max = p_max if q_max is None else q_max
-    return {"s": s, **_scan_pairs(s, p_max, q_max, target=s)}
+    return {"s": s, **_scan_pairs(s, p_max, target=s)}
 
 
 def find_sharp_step_pairs(s: int, p_max: int) -> dict:
@@ -307,5 +302,5 @@ def find_sharp_step_pairs(s: int, p_max: int) -> dict:
         "sup_attained_at": attained,
         "target": target,
         "conditional": not exact,
-        **_scan_pairs(s, p_max, p_max, target),
+        **_scan_pairs(s, p_max, target),
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from functools import wraps
+from itertools import filterfalse
 from typing import IO
 
 import numpy as np
@@ -130,16 +131,16 @@ def read_csv(fp: IO[str]):
     column_line = fp.readline().rstrip("\n")
     if column_line != _CSV_COLUMNS:
         raise ValueError(f"unexpected CSV column header {column_line!r}")
-    values = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        idx_s, _, val_s = line.partition(",")
-        if int(idx_s) != len(values):
-            raise ValueError(f"CSV rows out of order at index {idx_s}")
-        values.append(int(val_s))
-    return header, values
+    # blank and whitespace-only lines are skipped; every other row must be
+    # two int64 fields, else loadtxt or the unpacking raises ValueError
+    rows = np.loadtxt(
+        filterfalse(str.isspace, fp), dtype=np.int64, delimiter=",", comments=None, ndmin=2
+    )
+    index, coeffs = rows.T
+    disorder = np.flatnonzero(index != np.arange(len(index)))
+    if disorder.size:
+        raise ValueError(f"CSV rows out of order at index {index[disorder[0]]}")
+    return header, np.ascontiguousarray(coeffs)
 
 
 def write_text(vec: CoefficientVector, fp: IO[str]) -> None:

@@ -146,7 +146,7 @@ def test_criterion_04_residue_class_transfer():
     pairs = reports = 0
     for p, q in _coprime_pairs(3, 15):
         pairs += 1
-        for rep in survey_residue_classes(p, q, multiplier=3):
+        for rep in survey_residue_classes(p, q):
             assert rep.passed, (p, q, rep)
             assert rep.checked > 0
             reports += 1

@@ -1,5 +1,6 @@
 import pytest
 
+from iepoly import checks
 from iepoly.checks import (
     KNOWN_FLAT,
     KNOWN_HEIGHTS,
@@ -44,14 +45,6 @@ class TestCoeffsetResidue:
     def test_opposite_class_sets_negated(self):
         rep = verify_coeffset_residue(3, 5, 8, 7)
         assert rep.passed
-
-    def test_relation_contradiction(self):
-        with pytest.raises(PreconditionViolated):
-            verify_coeffset_residue(3, 5, 7, 8, relation="same")
-
-    def test_relation_explicit_ok(self):
-        assert verify_coeffset_residue(3, 5, 7, 22, relation="same").passed
-        assert verify_coeffset_residue(3, 5, 8, 7, relation="opposite").passed
 
 
 class TestRecursiveBound:
@@ -122,6 +115,34 @@ def test_survey_small_pair():
     for rep in survey_residue_classes(3, 5):
         assert rep.passed, rep
         assert rep.checked > 0
+
+
+# For (3, 5) the classes 7 and 8 are opposite; t = 7, 22 carry the set
+# (-2, -1, 0, 1) and t = 8, 23 its negation (-1, 0, 1, 2).
+@pytest.mark.parametrize(
+    "bad_t, change, height_witness, set_witness",
+    [
+        # shifted: the height stays 2, the set differs from t = 7's
+        (22, lambda cs: tuple(c + 1 for c in cs), None,
+         {"class": 7, "witnesses": [[7, [-2, -1, 0, 1]], [22, [-1, 0, 1, 2]]]}),
+        # negated first t of its class: only the opposite class exposes it
+        (8, lambda cs: tuple(sorted(-c for c in cs)), None,
+         {"class": 8, "witnesses": [[7, [-2, -1, 0, 1]], [8, [-2, -1, 0, 1]]]}),
+        # widened: the height grows to 3, so both reports fail
+        (22, lambda cs: (-3,) + cs, {"class": 7, "examples": [[7, 2], [22, 3]]},
+         {"class": 7, "witnesses": [[7, [-2, -1, 0, 1]], [22, [-3, -2, -1, 0, 1]]]}),
+    ],
+    ids=["shifted", "negated", "widened"],
+)
+def test_survey_reports_the_first_failure(monkeypatch, bad_t, change, height_witness,
+                                          set_witness):
+    real = checks.coefficient_set
+    monkeypatch.setattr(
+        checks, "coefficient_set", lambda t: change(real(t)) if t.r == bad_t else real(t)
+    )
+    heights, sets = survey_residue_classes(3, 5)
+    assert heights.passed == (height_witness is None) and heights.witness == height_witness
+    assert not sets.passed and sets.witness == set_witness
 
 
 def test_survey_requires_coprime():

@@ -66,6 +66,21 @@ def test_decompose_reconstructs(n):
     assert rep.x * 143 + rep.y * 91 + rep.z * 77 + rep.delta * 1001 == n
 
 
+def test_decompose_builds_no_tables(monkeypatch):
+    represent._context.cache_clear()
+
+    def refuse(t):
+        raise AssertionError(f"decompose built lookup tables for {t}")
+
+    monkeypatch.setattr(represent, "_Context", refuse)
+    for t in (Triple(3, 5, 7), Triple(4294967311, 3, 5)):  # the latter: 32 GiB of tables
+        p, q, r = t.as_tuple()
+        for n in (0, 1, t.product - 1, t.product + 12345, -(7 ** 20)):
+            x, y, z, delta = decompose(n, t)
+            assert 0 <= x < p and 0 <= y < q and 0 <= z < r
+            assert x * q * r + y * r * p + z * p * q + delta * t.product == n
+
+
 @pytest.mark.parametrize("p,q,r", SMALL)
 def test_indicator_matches_brute(p, q, r):
     t = Triple(p, q, r)

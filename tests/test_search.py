@@ -110,6 +110,13 @@ def test_resume_rejects_foreign_file(tmp_path):
         sweep_heights(task, out)
 
 
+def test_resume_into_other_file_rejected(tmp_path):
+    src, out = str(tmp_path / "src.jsonl"), str(tmp_path / "out.jsonl")
+    sweep_heights(SearchTask("height-sweep", RANGES), src)
+    with pytest.raises(InvalidParameters):
+        sweep_heights(SearchTask("height-sweep", RANGES, resume_from=src), out)
+
+
 def test_manifest_written_deterministically(tmp_path):
     out = str(tmp_path / "m.jsonl")
     task = SearchTask("flat-hunt", ((3, 5), (3, 7), (3, 150)))

@@ -98,12 +98,30 @@ def test_csv_rejects_row_gap():
         serialize.read_csv(io.StringIO("\n".join(lines)))
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["2,1,0", "2", "2,1.5", "2,x", "2,", ",1", "# 2,1", "2,99999999999999999999",
+     pytest.param(None, marks=pytest.mark.filterwarnings("ignore:loadtxt"))],
+    ids=["three-fields", "one-field", "float", "word", "empty-value", "empty-index",
+         "comment", "beyond-int64", "no-rows"],
+)
+def test_csv_rejects_malformed_row(row):
+    vec = coeffs_series(Triple(3, 5, 7))
+    buf = io.StringIO()
+    serialize.write_csv(vec, buf)
+    lines = buf.getvalue().splitlines()
+    lines = lines[:2] if row is None else lines[:4] + [row] + lines[5:]  # row of index 2
+    with pytest.raises(PersistenceError):
+        serialize.read_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
 def test_csv_skips_blank_lines():
     vec = coeffs_series(Triple(3, 5, 7))
     buf = io.StringIO()
     serialize.write_csv(vec, buf)
     lines = buf.getvalue().splitlines()
     lines.insert(4, "")  # between the rows for indices 1 and 2
+    lines.insert(6, " \t ")  # whitespace only, between indices 2 and 3
     back = serialize.read_csv(io.StringIO("\n".join(lines) + "\n\n"))
     assert np.array_equal(back.coeffs, vec.coeffs)
 
