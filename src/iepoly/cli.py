@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
             raise PreconditionViolated(f"{cid} takes p q r, got {len(params)} values")
         t = Triple(*(_int_param(x) for x in params))
         report = identities.verify_identity(
-            cid, t, samples=args.samples, seed=args.seed, mode=args.mode, s=args.s
+            cid, t, samples=args.samples, seed=args.seed, mode=args.mode
         )
         return _report_exit(report, args.json)
     if cid in _BOUND_CHECKS:
@@ -238,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
-    sp.add_argument("--s", type=int, default=None,
-                    help="companion offset override where applicable")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_verify)
 

@@ -6,9 +6,10 @@ sigma(k, ms) of representable integers in (m-k, m] and the coefficient
 coeff(ms), each 0 at negative positions.  The mode chooses only the
 positions and the oracles: exhaustive mode walks the full index domain
 (feasible when p*q*r is small) and reads the tables of a shared workspace;
-sampled mode draws seeded uniform positions and evaluates directly.  Checks
-about the offset form r = p*q + s derive s from the stored triple order and
-use the companion triple {p, q, s} where the identity calls for it.
+sampled mode draws seeded uniform positions and evaluates directly; both
+draw through _positions.  Checks about the offset form r = p*q + s derive s
+from the stored triple order and use the companion triple {p, q, s} where
+the identity calls for it; representative-residue uses {p, q, r mod p*q}.
 
 Everything here is exact integer arithmetic; a single mismatch fails the
 check and is reported with the witnessing index tuple.
@@ -99,16 +100,6 @@ class _Workspace:
         return _Workspace(Triple(self.t.p, self.t.q, _offset(self.t)))
 
 
-def _coeff_getter(ws: _Workspace):
-    """a_m lookup for sampled positions; 0 outside [0, degree].  Reads the
-    workspace's series vector, which one bundle computes once, or beyond
-    _SERIES_SAMPLING_LIMIT evaluates coefficient_at."""
-    t, deg = ws.t, degree(ws.t)
-    if deg > _SERIES_SAMPLING_LIMIT:
-        return lambda ms: coefficient_at(t, ms)
-    return lambda ms: np.where((ms >= 0) & (ms <= deg), ws.series[np.clip(ms, 0, deg)], 0)
-
-
 def _window_sum(sigma, k: int, ms: np.ndarray, a: int, b: int) -> np.ndarray:
     """sigma_k(m) - sigma_k(m-a) - sigma_k(m-b) + sigma_k(m-a-b)."""
     return sigma(k, ms) - sigma(k, ms - a) - sigma(k, ms - b) + sigma(k, ms - a - b)
@@ -119,56 +110,48 @@ _Oracles = namedtuple("_Oracles", "ind sigma coeff")
 
 def _oracles(ws: _Workspace, mode: str) -> _Oracles:
     """Oracles of ws.t: one gather from the padded workspace tables in
-    exhaustive mode, evaluated directly when sampled."""
+    exhaustive mode, evaluated directly when sampled.  Sampled coefficients
+    come from the workspace's series vector, which one bundle computes once,
+    or beyond _SERIES_SAMPLING_LIMIT from coefficient_at."""
     t, pad = ws.t, ws.pad
-    if mode == "sampled":
+    if mode == "exhaustive":
         return _Oracles(
-            lambda ns: indicator_many(ns, t),
-            lambda k, ms: window_count(k, ms, t),
-            _coeff_getter(ws),
+            lambda ns: ws.ind[ns + pad],
+            lambda k, ms: ws.prefix[ms + 1 + pad] - ws.prefix[ms + 1 - k + pad],
+            lambda ms: ws.ext[ms + pad],
         )
-    return _Oracles(
-        lambda ns: ws.ind[ns + pad],
-        lambda k, ms: ws.prefix[ms + 1 + pad] - ws.prefix[ms + 1 - k + pad],
-        lambda ms: ws.ext[ms + pad],
-    )
+    deg = degree(t)
+
+    def coeff(ms):
+        if deg > _SERIES_SAMPLING_LIMIT:
+            return coefficient_at(t, ms)
+        return np.where((ms >= 0) & (ms <= deg), ws.series[np.clip(ms, 0, deg)], 0)
+
+    return _Oracles(lambda ns: indicator_many(ns, t), lambda k, ms: window_count(k, ms, t), coeff)
 
 
-def _positions(rng, samples, mode, *axes, keep=None, oversample=1):
+def _positions(rng, samples, mode, *axes, keep=None):
     """Index arrays over the half-open box `axes`, restricted to `keep`.
 
-    Exhaustive: the whole grid, first axis slowest.  Sampled: oversample *
-    samples uniform tuples drawn at once, of which at most `samples` that
-    pass `keep` are kept.
+    Exhaustive: the whole grid, first axis slowest.  Sampled: batches of
+    max(samples, 1024) uniform tuples until `samples` of them pass `keep`,
+    giving up after 64 batches.
     """
-    if mode == "exhaustive":
-        spans = (np.arange(lo, hi, dtype=np.int64) for lo, hi in axes)
-        cols, limit = [g.ravel() for g in np.meshgrid(*spans, indexing="ij")], None
-    else:
-        size = oversample * samples
-        cols = [rng.integers(lo, hi, size=size, dtype=np.int64) for lo, hi in axes]
-        limit = samples
-    if keep is not None:
+
+    def batch():
+        if mode == "exhaustive":
+            grid = np.indices([hi - lo for lo, hi in axes]).reshape(len(axes), -1)
+            cols = [col + lo for col, (lo, _) in zip(grid, axes)]
+        else:
+            size = max(samples, 1024)
+            cols = [rng.integers(lo, hi, size=size, dtype=np.int64) for lo, hi in axes]
+        if keep is None:
+            return cols
         mask = keep(*cols)
-        cols = [c[mask][:limit] for c in cols]
-    return cols
+        return [col[mask] for col in cols]
 
-
-def _shift_positions(rng, samples, mode, axes, keep, *, min_beta=0):
-    """(k, j, beta) index arrays for the offset checks, restricted to `keep`.
-
-    Exhaustive: the whole grid with beta slowest, then k, then j, and
-    |beta| >= min_beta.  Sampled: batches of uniform tuples until `samples`
-    pass `keep`, giving up after 64 batches.
-    """
     if mode == "exhaustive":
-        k_ax, j_ax, b_ax = axes
-        bs, ks, js = _positions(
-            rng, samples, mode, b_ax, k_ax, j_ax,
-            keep=lambda bs, ks, js: keep(ks, js, bs) & (abs(bs) >= min_beta),
-        )
-        return ks, js, bs
-    batch = partial(_positions, rng, max(samples, 1024), mode, *axes, keep=keep)
+        return batch()
     parts = [batch()]
     while sum(len(part[0]) for part in parts) < samples and len(parts) < 64:
         parts.append(batch())
@@ -251,7 +234,7 @@ def _check_multiple_period(t, pivot, ind, pos):
     shift = t.product // pivot
     ks, js = pos(
         (-shift + 1, shift), (0, pivot),
-        keep=lambda ks, js: ks * pivot + js * shift < t.product, oversample=2,
+        keep=lambda ks, js: ks * pivot + js * shift < t.product,
     )
     bad = ind(ks * pivot + js * shift) != ind(ks * pivot)
     return _verdict(bad, len(ks), k=ks, j=js, pivot=pivot)
@@ -274,19 +257,17 @@ def _check_threshold_agreement(t, pivot, ind, pos):
     return _verdict(bad, len(ns), n=ns, pivot=pivot, rep=reps)
 
 
-def _check_representative_residue(t, ws, rng, samples, mode, s=None):
-    """The representative depends only on n mod p*q, across matching triples."""
+def _check_representative_residue(t, ws, rng, samples, mode):
+    """The representative depends only on n mod p*q: that of t with pivot r
+    equals that of the companion {p, q, s}, s = r mod p*q, with pivot s."""
     p, q, r, pq = t.p, t.q, t.r, t.p * t.q
-    s_val = s if s is not None else r % pq
-    if s_val < 1 or (s_val - r) % pq != 0:
-        raise PreconditionViolated(f"companion offset {s_val} does not match {t}")
-    if mode == "exhaustive":  # one period, then the periods around it
-        ns = np.concatenate([np.arange(off, off + pq) for off in (0, -pq, pq, 2 * pq)])
-    else:
-        (ns,) = _positions(rng, samples, mode, (0, t.product))
-    rep_c = semigroup_representative(ns % pq, Triple(p, q, s_val), s_val)
+    s = r % pq
+    # exhaustive: the first period and the periods around it
+    span = (-pq, 3 * pq) if mode == "exhaustive" else (0, t.product)
+    (ns,) = _positions(rng, samples, mode, span)
+    rep_c = semigroup_representative(ns % pq, Triple(p, q, s), s)
     bad = semigroup_representative(ns, t, r) != rep_c
-    return _verdict(bad, len(ns), n=ns, s=s_val)
+    return _verdict(bad, len(ns), n=ns, s=s)
 
 
 def _check_coeff_shift(t, ws, rng, samples, mode):
@@ -346,14 +327,11 @@ def _check_companion_transfer(t, ws, rng, samples, mode):
 
 
 def _check_offset_period(t, ws, rng, samples, mode):
-    """ind(k*r + j + beta*pq) = ind(k*r + j) for 0 < |j| < s, |beta| <= pq//s."""
+    """ind(k*r + j + beta*pq) = ind(k*r + j) for 0 < |j| < s, 0 < |beta| <= pq//s."""
     s, pq, r = _offset(t), t.p * t.q, t.r
-    if s == 1:
-        return True, 0, None  # no admissible j
-    ks, js, bs = _shift_positions(
-        rng, samples, mode, ((-pq + 1, pq), (-s + 1, s), (-(pq // s), pq // s + 1)),
-        lambda ks, js, bs: (js != 0) & (ks * r + js + bs * pq < t.product),
-        min_beta=1,
+    bs, ks, js = _positions(
+        rng, samples, mode, (-(pq // s), pq // s + 1), (-pq + 1, pq), (-s + 1, s),
+        keep=lambda bs, ks, js: (bs != 0) & (js != 0) & (ks * r + js + bs * pq < t.product),
     )
     ind = _oracles(ws, mode).ind
     bad = ind(ks * r + js + bs * pq) != ind(ks * r + js)
@@ -363,9 +341,9 @@ def _check_offset_period(t, ws, rng, samples, mode):
 def _check_companion_window(t, ws, rng, samples, mode):
     """Shifted window counts agree between the triple and its companion."""
     s, pq, r = _offset(t), t.p * t.q, t.r
-    ks, gs, bs = _shift_positions(
-        rng, samples, mode, ((-pq + 1, pq), (0, s), (-(pq // s), pq // s + 1)),
-        lambda ks, gs, bs: ks * r + gs + bs * pq < t.product,
+    bs, ks, gs = _positions(
+        rng, samples, mode, (-(pq // s), pq // s + 1), (-pq + 1, pq), (0, s),
+        keep=lambda bs, ks, gs: ks * r + gs + bs * pq < t.product,
     )
     o, oc = _oracles(ws, mode), _oracles(ws.companion, mode)
     lhs = o.sigma(s, ks * r + gs + bs * pq) - o.ind(ks * r + bs * pq)
@@ -409,7 +387,7 @@ def _resolve_mode(t: Triple, mode: str) -> str:
 
 def verify_identity(
     check_id: str, t: Triple, *, samples: int = 10_000, seed: int = 0,
-    mode: str = "auto", s: int | None = None, _workspace: _Workspace | None = None,
+    mode: str = "auto", _workspace: _Workspace | None = None,
 ) -> VerificationReport:
     """Run one pointwise identity check and wrap the outcome in a report."""
     if check_id not in IDENTITY_CHECKS:
@@ -417,12 +395,9 @@ def verify_identity(
     if not t.is_ternary():
         raise PreconditionViolated(f"identity checks need a ternary triple, got {t}")
     run_mode = _resolve_mode(t, mode)
-    if s is not None and check_id != "representative-residue":
-        raise PreconditionViolated(f"{check_id} does not take a companion offset")
-    kwargs = {"s": s} if check_id == "representative-residue" else {}
     rng = np.random.default_rng(seed)
     passed, checked, witness = IDENTITY_CHECKS[check_id](
-        t, _workspace or _Workspace(t), rng, samples, run_mode, **kwargs
+        t, _workspace or _Workspace(t), rng, samples, run_mode
     )
     return VerificationReport(
         check_id, t.as_tuple(), passed, run_mode, checked, witness,

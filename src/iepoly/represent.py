@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import mod_inverse
-from .errors import DomainExceeded, InvalidParameters, InvalidTriple
+from .errors import DomainExceeded, InvalidParameters, InvalidTriple, InvariantViolated
 
 # Vectorized paths accumulate up to three table entries below p*q*r each,
 # so this keeps every intermediate inside signed 64 bits.
@@ -128,7 +128,7 @@ def decompose(n: int, t: Triple) -> Representation:
     x, y, z = (n % m * _cofactor_inverse(m, t) % m for m in (p, q, r))
     delta, rem = divmod(n - x * q * r - y * r * p - z * p * q, t.product)
     if rem != 0:
-        raise AssertionError(f"reconstruction failed for n={n}, t={t}")
+        raise InvariantViolated(f"reconstruction failed for n={n}, t={t}")
     return Representation(x, y, z, delta)
 
 

@@ -5,7 +5,8 @@ the engine that produced the vector, and whether only the lower half is
 stored.  CSV and text are line-oriented; the binary form is the header
 followed by little-endian signed 64-bit coefficients.  Readers only decode;
 one function checks that the header agrees with itself and with the
-payload, so every malformed or inconsistent file raises PersistenceError.
+payload and that the coefficients pass the vector's invariants, so every
+malformed or inconsistent file raises PersistenceError.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def header_dict(vec: CoefficientVector) -> dict:
 
 def _vector(header: dict, coeffs) -> CoefficientVector:
     """The vector a decoded header and payload describe, once the header
-    agrees with itself and with the payload."""
+    agrees with itself and with the payload and the coefficients pass
+    `CoefficientVector.validate`."""
     if header["format"] != FORMAT_NAME or header["version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported record {header['format']!r} v{header['version']!r}")
     t = Triple(header["p"], header["q"], header["r"])
@@ -63,7 +65,9 @@ def _vector(header: dict, coeffs) -> CoefficientVector:
     if coeffs.ndim != 1 or len(coeffs) != CoefficientVector.stored_length(deg, half):
         raise ValueError(f"{coeffs.size} coefficients do not fit degree {deg} (half={half})")
     coeffs = coeffs.astype(np.int64, copy=False)
-    return CoefficientVector(triple=t, degree=degree(t), coeffs=coeffs, engine=engine, half=half)
+    vec = CoefficientVector(triple=t, degree=degree(t), coeffs=coeffs, engine=engine, half=half)
+    vec.validate()
+    return vec
 
 
 def _reader(decode):

@@ -13,6 +13,7 @@ from iepoly.identities import (
     OFFSET_CHECKS,
     _Workspace,
     _oracles,
+    _positions,
     verify_identity,
     verify_identity_bundle,
 )
@@ -119,23 +120,66 @@ def test_non_ternary_rejected():
             verify_identity("second-difference", Triple(*t))
 
 
-def test_offset_override_only_where_meaningful():
-    with pytest.raises(PreconditionViolated):
-        verify_identity("coeff-shift", Triple(3, 5, 7), s=7)
-
-
 def test_representative_residue_custom_offset():
+    # the companion offset is derived, 32 mod 15 = 2, and takes no override
     t = Triple(3, 5, 32)
-    ok = verify_identity("representative-residue", t, s=17)  # 32 = 15 + 17
-    assert ok.passed
-    with pytest.raises(PreconditionViolated):
-        verify_identity("representative-residue", t, s=16)
+    rep = verify_identity("representative-residue", t)
+    assert rep.passed and rep.checked == 4 * 15
+    with pytest.raises(TypeError):
+        verify_identity("representative-residue", t, s=17)
 
 
 def test_offset_period_empty_domain():
     # s = 1 leaves no admissible interior offset; vacuous pass, zero checked
     rep = verify_identity("offset-period", Triple(3, 5, 16))
     assert rep.passed and rep.checked == 0
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_offset_period_skips_zero_beta(mode):
+    # s = 16 > pq = 15 leaves only beta = 0, where the identity reads
+    # ind(x) = ind(x); neither mode may count those positions
+    rep = verify_identity("offset-period", Triple(3, 5, 31), mode=mode, samples=500)
+    assert rep.passed and rep.checked == 0
+
+
+def test_positions_exhaustive_grid_in_axis_order():
+    def keep(a, b, c):
+        return a + b + c != 1
+
+    axes = ((1, 3), (-2, 1), (0, 2))
+    cols = _positions(None, 0, "exhaustive", *axes, keep=keep)
+    grid = list(itertools.product(*(range(lo, hi) for lo, hi in axes)))
+    assert list(zip(*(col.tolist() for col in cols))) == [x for x in grid if keep(*x)]
+    assert all(col.dtype == np.int64 for col in cols)
+    (ns,) = _positions(None, 0, "exhaustive", (-4, 3))
+    assert ns.tolist() == list(range(-4, 3))
+
+
+def test_positions_sampled_count_and_keep():
+    # about 4 % pass, so the draw takes several batches of 3000
+    rng = np.random.default_rng(0)
+    ks, js = _positions(rng, 3000, "sampled", (0, 10), (-5, 5), keep=lambda k, j: k + j == 3)
+    assert len(ks) == len(js) == 3000
+    assert np.all(ks + js == 3) and ks.min() >= 0 and ks.max() < 10 and js.min() >= -5
+    (ns,) = _positions(rng, 7, "sampled", (2, 9))
+    assert len(ns) == 7 and ns.min() >= 2 and ns.max() < 9
+
+
+def test_positions_sampled_gives_up_after_64_batches():
+    sizes = []
+
+    class Counting:
+        def __init__(self):
+            self.rng = np.random.default_rng(0)
+
+        def integers(self, lo, hi, size, dtype):
+            sizes.append(size)
+            return self.rng.integers(lo, hi, size=size, dtype=dtype)
+
+    ns, ms = _positions(Counting(), 10, "sampled", (0, 5), (0, 5), keep=lambda ns, ms: ns < 0)
+    assert len(ns) == len(ms) == 0 and ns.dtype == np.int64
+    assert sizes == [1024] * (2 * 64)
 
 
 def test_planted_violation_is_caught():

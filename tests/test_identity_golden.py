@@ -44,7 +44,7 @@ def report_lines() -> list[str]:
     for mode in ("exhaustive", "sampled"):
         reports.append(verify_identity(
             "representative-residue", Triple(3, 5, 16), samples=SAMPLES, seed=SEED,
-            mode=mode, s=1))
+            mode=mode))
     reports += verify_identity_bundle(Triple(*LARGE), samples=SAMPLES, seed=SEED,
                                       mode="sampled")
     return [rep.to_json() for rep in reports]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iepoly import represent
-from iepoly.errors import DomainExceeded, InvalidTriple
+from iepoly.errors import DomainExceeded, IEPolyError, InvalidTriple, InvariantViolated
 from iepoly.represent import (
     Triple,
     decompose,
@@ -56,6 +56,18 @@ def test_decompose_matches_brute(p, q, r):
         x, y, z, d = brute_decompose(n, p, q, r)
         got = decompose(n, t)
         assert (got.x, got.y, got.z, got.delta) == (x, y, z, d), n
+
+
+def test_decompose_failed_reconstruction_raises_invariant(monkeypatch):
+    # a wrong cofactor inverse leaves a remainder; the check is an explicit
+    # raise of a package error (exit code 2 from the CLI), not an assert
+    real = represent._cofactor_inverse
+    monkeypatch.setattr(
+        represent, "_cofactor_inverse", lambda m, t: (real(m, t) + 1) % m if m > 1 else 0
+    )
+    with pytest.raises(InvariantViolated, match="reconstruction failed for n=1") as info:
+        decompose(1, Triple(3, 5, 7))
+    assert isinstance(info.value, IEPolyError)
 
 
 @given(st.integers(-10**6, 10**6))

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import pathlib
 import struct
 
 import numpy as np
@@ -161,3 +163,40 @@ def test_reader_rejects_bad_header(kind, mode, mangle):
     assert bad != buf.getvalue()
     with pytest.raises(PersistenceError):
         reader(type(buf)(bad))
+
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "coeffs"
+FORMATS = {
+    "json": (serialize.write_json, serialize.read_json, io.StringIO),
+    "csv": (serialize.write_csv, serialize.read_csv, io.StringIO),
+    "bin": (serialize.write_binary, serialize.read_binary, io.BytesIO),
+}
+
+
+# Each corruption keeps every invariant `validate` tests before the named
+# one.  In the (4, 5, 21) vector a_20 = a_220 = 1 and a_4 = a_9 = a_231 =
+# a_236 = 0; a negative index counts from the end of the stored entries.
+@pytest.mark.parametrize(
+    "name, changes, message",
+    [
+        ("4-5-21-series-full.json", {0: 0}, "leading coefficient"),
+        ("4-5-21-window-full.csv", {-1: 0}, "trailing coefficient"),
+        ("4-5-21-series-full.bin", {4: 1, 236: 1}, "sum to 1"),
+        ("4-5-21-window-full.json", {4: 1, 9: -1}, "palindromic"),
+        ("4-5-21-both-full.bin", {4: 3, 236: 3, 20: -2, 220: -2}, "consecutive run"),
+        ("4-5-21-series-half.bin", {9: 1}, "sum to 1"),  # mirrored, so off by 2
+    ],
+    ids=["a0", "a-degree", "sum", "palindrome", "consecutive-run", "half-bin-sum"],
+)
+def test_reader_validates_coefficients(name, changes, message):
+    writer, reader, stream = FORMATS[name.rsplit(".", 1)[1]]
+    raw = (GOLDEN / name).read_bytes()
+    intact = reader(stream(raw) if stream is io.BytesIO else stream(raw.decode()))
+    coeffs = intact.coeffs.copy()
+    for i, v in changes.items():
+        coeffs[i] = v
+    buf = stream()
+    writer(dataclasses.replace(intact, coeffs=coeffs), buf)
+    with pytest.raises(PersistenceError, match=f"InvariantViolated: .*{message}"):
+        reader(stream(buf.getvalue()))
