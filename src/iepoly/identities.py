@@ -141,7 +141,8 @@ def _positions(rng, samples, mode, *axes, keep=None):
     def batch():
         if mode == "exhaustive":
             grid = np.indices([hi - lo for lo, hi in axes]).reshape(len(axes), -1)
-            cols = [col + lo for col, (lo, _) in zip(grid, axes)]
+            grid += np.array([lo for lo, _ in axes])[:, None]  # in place: one grid
+            cols = list(grid)
         else:
             size = max(samples, 1024)
             cols = [rng.integers(lo, hi, size=size, dtype=np.int64) for lo, hi in axes]
@@ -329,6 +330,8 @@ def _check_companion_transfer(t, ws, rng, samples, mode):
 def _check_offset_period(t, ws, rng, samples, mode):
     """ind(k*r + j + beta*pq) = ind(k*r + j) for 0 < |j| < s, 0 < |beta| <= pq//s."""
     s, pq, r = _offset(t), t.p * t.q, t.r
+    if s == 1:
+        return True, 0, None  # no admissible j; skips a grid of about 4*product
     bs, ks, js = _positions(
         rng, samples, mode, (-(pq // s), pq // s + 1), (-pq + 1, pq), (-s + 1, s),
         keep=lambda bs, ks, js: (bs != 0) & (js != 0) & (ks * r + js + bs * pq < t.product),

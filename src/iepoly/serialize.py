@@ -47,8 +47,7 @@ def header_dict(vec: CoefficientVector) -> dict:
 
 def _vector(header: dict, coeffs) -> CoefficientVector:
     """The vector a decoded header and payload describe, once the header
-    agrees with itself and with the payload and the coefficients pass
-    `CoefficientVector.validate`."""
+    agrees with itself and with the payload, and the vector validates."""
     if header["format"] != FORMAT_NAME or header["version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported record {header['format']!r} v{header['version']!r}")
     t = Triple(header["p"], header["q"], header["r"])
