@@ -120,12 +120,13 @@ class CoefficientVector:
         _require(full[0] == 1, "leading coefficient must be 1")
         _require(full[-1] == 1, "trailing coefficient must be 1")
         _require(int(full.sum()) == 1, "coefficients must sum to 1")
-        _require(np.array_equal(full, full[::-1]), "vector must be palindromic")
+        low = full[: self.degree // 2 + 1]  # a palindrome's values all lie here
+        _require(np.array_equal(low, full[::-1][: len(low)]), "vector must be palindromic")
         # n entries take at most n distinct values; a wider span cannot be a
         # consecutive run, and checking first keeps bincount's table small
-        lo, hi = int(full.min()), int(full.max())
+        lo, hi = int(low.min()), int(low.max())
         _require(
-            hi - lo < len(full) and np.bincount(full - lo).all(),
+            hi - lo < len(low) and np.bincount(low - lo).all(),
             "coefficient values must form a consecutive run",
         )
 
