@@ -63,7 +63,7 @@ def _vector(header: dict, coeffs) -> CoefficientVector:
         raise ValueError(f"coefficients must be 64-bit integers, not {coeffs.dtype}")
     if coeffs.ndim != 1 or len(coeffs) != CoefficientVector.stored_length(deg, half):
         raise ValueError(f"{coeffs.size} coefficients do not fit degree {deg} (half={half})")
-    vec = CoefficientVector(t, deg, coeffs.astype(np.int64, copy=False), engine, half)
+    vec = CoefficientVector(t, degree(t), coeffs.astype(np.int64, copy=False), engine, half)
     vec.validate()
     return vec
 

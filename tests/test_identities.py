@@ -157,7 +157,7 @@ def test_positions_exhaustive_grid_in_axis_order():
 
 
 def test_positions_sampled_count_and_keep():
-    # about 4 % pass, so the draw takes several batches of 3000
+    # 9 of the 100 (k, j) pass, so the draw takes about 11 batches of 3000
     rng = np.random.default_rng(0)
     ks, js = _positions(rng, 3000, "sampled", (0, 10), (-5, 5), keep=lambda k, j: k + j == 3)
     assert len(ks) == len(js) == 3000
