@@ -44,7 +44,7 @@ from .errors import (
     InvalidTriple,
     InvariantViolated,
 )
-from .represent import Triple, indicator_range, window_count
+from .represent import Triple, indicator_range, window_count, window_sum
 
 DEFAULT_DEGREE_CAP = 20_000_000
 DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
@@ -103,12 +103,15 @@ class CoefficientVector:
         tail = self.coeffs[: self.degree - len(self.coeffs) + 1][::-1]
         return np.concatenate([self.coeffs, tail])
 
-    def coefficient(self, m: int) -> int:
-        if m < 0 or m > self.degree:
-            return 0
-        if self.half and m >= len(self.coeffs):
-            m = self.degree - m
-        return int(self.coeffs[m])
+    def coefficient(self, m: int | np.ndarray) -> int | np.ndarray:
+        """a_m for an int m, giving an int, or an int64 array of m, giving an
+        int64 array: 0 outside [0, degree], a_(degree-m) past a half vector."""
+        ms = np.asarray(m, dtype=np.int64)
+        idx = np.clip(ms, 0, self.degree)
+        if self.half:
+            idx = np.minimum(idx, self.degree - idx)
+        out = np.where((ms >= 0) & (ms <= self.degree), self.coeffs[idx], 0)
+        return int(out) if ms.ndim == 0 else out
 
     def validate(self) -> None:
         """Structural self-checks; raises InvariantViolated on violation.
@@ -251,9 +254,4 @@ def coefficient_at(t: Triple, m: int | np.ndarray) -> int | np.ndarray:
             bad = lo if lo <= -t.product else hi
             raise DomainExceeded(f"m={bad} is outside (-{t.product}, {t.product}) for {t}")
     u, v, w = t.sorted()
-    return (
-        window_count(u, ms, t)
-        - window_count(u, ms - v, t)
-        - window_count(u, ms - w, t)
-        + window_count(u, ms - v - w, t)
-    )
+    return window_sum(lambda k, x: window_count(k, x, t), u, ms, v, w)

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import coefficient_at, coeffs_series, degree
+from .engine import CoefficientVector, coefficient_at, coeffs_series, degree
 from .errors import PreconditionViolated, UnknownCheck
 from .report import VerificationReport
 from .represent import (
@@ -32,6 +32,7 @@ from .represent import (
     indicator_range,
     semigroup_representative,
     window_count,
+    window_sum,
 )
 
 # Auto mode exhausts the full domain up to this product and samples beyond.
@@ -84,25 +85,20 @@ class _Workspace:
         return out
 
     @cached_property
-    def series(self) -> np.ndarray:
-        return coeffs_series(self.t).coeffs
+    def series(self) -> CoefficientVector:
+        return coeffs_series(self.t)
 
     @cached_property
     def ext(self) -> np.ndarray:
         # a_m over [-pad, product): the pad, engine coefficients, a zero tail
         out = np.zeros(self.pad + self.n, dtype=np.int64)
-        out[self.pad : self.pad + len(self.series)] = self.series
+        out[self.pad : self.pad + len(self.series)] = self.series.coeffs
         return out
 
     @cached_property
     def companion(self) -> _Workspace:
         """Workspace of the companion triple {p, q, s}, where r = p*q + s."""
         return _Workspace(Triple(self.t.p, self.t.q, _offset(self.t)))
-
-
-def _window_sum(sigma, k: int, ms: np.ndarray, a: int, b: int) -> np.ndarray:
-    """sigma_k(m) - sigma_k(m-a) - sigma_k(m-b) + sigma_k(m-a-b)."""
-    return sigma(k, ms) - sigma(k, ms - a) - sigma(k, ms - b) + sigma(k, ms - a - b)
 
 
 _Oracles = namedtuple("_Oracles", "ind sigma coeff")
@@ -120,14 +116,13 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
             lambda k, ms: ws.prefix[ms + 1 + pad] - ws.prefix[ms + 1 - k + pad],
             lambda ms: ws.ext[ms + pad],
         )
-    deg = degree(t)
-
-    def coeff(ms):
-        if deg > _SERIES_SAMPLING_LIMIT:
-            return coefficient_at(t, ms)
-        return np.where((ms >= 0) & (ms <= deg), ws.series[np.clip(ms, 0, deg)], 0)
-
-    return _Oracles(lambda ns: indicator_many(ns, t), lambda k, ms: window_count(k, ms, t), coeff)
+    return _Oracles(
+        lambda ns: indicator_many(ns, t),
+        lambda k, ms: window_count(k, ms, t),
+        # a lambda, so the series vector is built on the first call, not here
+        partial(coefficient_at, t) if degree(t) > _SERIES_SAMPLING_LIMIT
+        else lambda ms: ws.series.coefficient(ms),
+    )
 
 
 def _positions(rng, samples, mode, *axes, keep=None):
@@ -297,8 +292,8 @@ def _check_window_split(t, ws, rng, samples, mode):
     """a_m equals the two-block window sum in the offset form."""
     s, o = _offset(t), _oracles(ws, mode)
     (ms,) = _positions(rng, samples, mode, (0, t.product))
-    b1 = _window_sum(o.sigma, s, ms, t.p, t.q)
-    b2 = _window_sum(o.sigma, t.p, ms - s, t.p * t.q, t.q)
+    b1 = window_sum(o.sigma, s, ms, t.p, t.q)
+    b2 = window_sum(o.sigma, t.p, ms - s, t.p * t.q, t.q)
     a = o.coeff(ms)
     return _verdict(a != b1 + b2, len(ms), m=ms, a=a, blocks=(b1, b2))
 
@@ -314,7 +309,7 @@ def _check_window_split_eval(t, ws, rng, samples, mode):
     in_far = (alpha_r > x - hi - lo) & (alpha_r <= x - hi)
     vals = o.ind(alpha_r).astype(np.int64)
     corr = np.where(in_near, vals, np.where(in_far, -vals, 0))
-    b1 = _window_sum(o.sigma, s, ms, t.p, t.q)
+    b1 = window_sum(o.sigma, s, ms, t.p, t.q)
     a = o.coeff(ms)
     return _verdict(a != b1 + corr, len(ms), m=ms, a=a, block=b1, corr=corr)
 
@@ -330,8 +325,8 @@ def _check_companion_transfer(t, ws, rng, samples, mode):
 def _check_offset_period(t, ws, rng, samples, mode):
     """ind(k*r + j + beta*pq) = ind(k*r + j) for 0 < |j| < s, 0 < |beta| <= pq//s."""
     s, pq, r = _offset(t), t.p * t.q, t.r
-    if s == 1:
-        return True, 0, None  # no admissible j; skips a grid of about 4*product
+    if s == 1 or s > pq:  # no admissible j, or only beta = 0: nothing to check
+        return True, 0, None
     bs, ks, js = _positions(
         rng, samples, mode, (-(pq // s), pq // s + 1), (-pq + 1, pq), (-s + 1, s),
         keep=lambda bs, ks, js: (bs != 0) & (js != 0) & (ks * r + js + bs * pq < t.product),
@@ -397,6 +392,8 @@ def verify_identity(
         raise UnknownCheck(f"no identity check named {check_id!r}")
     if not t.is_ternary():
         raise PreconditionViolated(f"identity checks need a ternary triple, got {t}")
+    if samples < 1:
+        raise PreconditionViolated(f"samples must be at least 1, got {samples}")
     run_mode = _resolve_mode(t, mode)
     rng = np.random.default_rng(seed)
     passed, checked, witness = IDENTITY_CHECKS[check_id](

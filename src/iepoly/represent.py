@@ -100,22 +100,14 @@ def _cofactor_inverse(m: int, t: Triple) -> int:
     return mod_inverse(t.product // m % m, m) if m > 1 else 0
 
 
-class _Context:
-    """Lookup tables for one triple ordering."""
-
-    def __init__(self, t: Triple):
-        self.p, self.q, self.r = t.as_tuple()
-        self.product = t.product
-        # xtab[n % p] = x_n * q * r, and likewise for y, z
-        self.xtab, self.ytab, self.ztab = (
-            np.arange(m, dtype=np.int64) * _cofactor_inverse(m, t) % m * (t.product // m)
-            for m in t.as_tuple()
-        )
-
-
 @lru_cache(maxsize=128)
-def _context(t: Triple) -> _Context:
-    return _Context(t)
+def _residue_tables(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables xtab, ytab, ztab: xtab[n % p] = x_n * q * r, and
+    likewise for y and z."""
+    return tuple(
+        np.arange(m, dtype=np.int64) * _cofactor_inverse(m, t) % m * (t.product // m)
+        for m in t.as_tuple()
+    )
 
 
 def decompose(n: int, t: Triple) -> Representation:
@@ -151,26 +143,25 @@ def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
     residue as n - n // m * m: numpy divides by a scalar without a hardware
     divide, which `%` still uses.
     """
-    c = _context(t)
     ns = np.asarray(ns, dtype=np.int64)
-    if ns.size and int(ns.max()) >= c.product:
-        raise DomainExceeded(f"index beyond product {c.product} for {t}")
+    if ns.size and int(ns.max()) >= t.product:
+        raise DomainExceeded(f"index beyond product {t.product} for {t}")
+    xtab, ytab, ztab = _residue_tables(t)
     flat = ns.ravel()
     out = np.empty(flat.size, dtype=np.uint8)
     for lo in range(0, flat.size, _BLOCK):
         n = flat[lo : lo + _BLOCK]
-        tot = c.xtab[n - n // c.p * c.p]
-        tot += c.ytab[n - n // c.q * c.q]
-        tot += c.ztab[n - n // c.r * c.r]
+        tot = xtab[n - n // t.p * t.p]
+        tot += ytab[n - n // t.q * t.q]
+        tot += ztab[n - n // t.r * t.r]
         np.equal(tot, n, out=out[lo : lo + _BLOCK].view(np.bool_))
     return out.reshape(ns.shape)[()]  # [()] turns a 0-d result into a scalar
 
 
 def indicator_range(t: Triple, stop: int) -> np.ndarray:
     """Representability indicator over [0, stop), stop <= product."""
-    c = _context(t)
-    if stop > c.product:
-        raise DomainExceeded(f"stop={stop} exceeds product {c.product} for {t}")
+    if stop > t.product:
+        raise DomainExceeded(f"stop={stop} exceeds product {t.product} for {t}")
     return indicator_many(np.arange(max(stop, 0), dtype=np.int64), t)
 
 
@@ -233,3 +224,9 @@ def window_count(k: int, m: int | np.ndarray, t: Triple) -> int | np.ndarray:
             block = flat[i : i + step, None] - offsets[None, :]
             out[i : i + step] = indicator_many(block, t).sum(axis=1, dtype=np.int64)
     return int(out[0]) if ms.ndim == 0 else out.reshape(ms.shape)
+
+
+def window_sum(sigma, k: int, ms, a: int, b: int):
+    """sigma(k, m) - sigma(k, m-a) - sigma(k, m-b) + sigma(k, m-a-b) for a
+    window count sigma(k, ms), such as window_count bound to a triple."""
+    return sigma(k, ms) - sigma(k, ms - a) - sigma(k, ms - b) + sigma(k, ms - a - b)

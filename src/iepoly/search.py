@@ -44,7 +44,8 @@ class SearchTask:
             raise InvalidParameters(f"unknown search kind {self.kind!r}")
         ranges = tuple((int(lo), int(hi)) for lo, hi in self.ranges)
         object.__setattr__(self, "ranges", ranges)
-        want = 2 if self.kind in ("bound-attained", "sharp-step") else 3
+        pair = self.kind in ("bound-attained", "sharp-step")
+        want = 2 if pair else 3
         if len(ranges) != want:
             raise InvalidParameters(f"{self.kind} needs {want} parameter ranges")
         for lo, hi in ranges:
@@ -52,9 +53,10 @@ class SearchTask:
                 raise InvalidParameters(f"empty range ({lo}, {hi})")
             if lo < 3:
                 raise InvalidParameters("range lower bounds must be at least 3")
-        if self.kind in ("bound-attained", "sharp-step"):
-            if self.s is None or self.s < 1:
-                raise InvalidParameters(f"{self.kind} requires an offset s >= 1")
+        if pair and (self.s is None or self.s < 1):
+            raise InvalidParameters(f"{self.kind} requires an offset s >= 1")
+        if not pair and self.s is not None:
+            raise InvalidParameters(f"{self.kind} takes no offset s, got {self.s}")
 
     def describe(self) -> dict:
         return {
@@ -102,15 +104,10 @@ def _record(kind: str, key: tuple, s: int | None = None, target: int | None = No
 def _task_items(task: SearchTask) -> tuple[list[tuple], object]:
     """Ordered keys plus the per-key record function for a task."""
     if task.kind in ("height-sweep", "flat-hunt"):
-        triples = enumerate_coprime_triples(task.ranges)
-        if task.kind == "flat-hunt":
-            keys = [
-                t.as_tuple()
-                for t in triples
-                if t.r % (t.p * t.q) in (1, t.p * t.q - 1)
-            ]
-        else:
-            keys = [t.as_tuple() for t in triples]
+        keys = [  # a flat hunt keeps the offset-one triples, r = +-1 mod p*q
+            t.as_tuple() for t in enumerate_coprime_triples(task.ranges)
+            if task.kind == "height-sweep" or t.r % (t.p * t.q) in (1, t.p * t.q - 1)
+        ]
         return keys, partial(_record, task.kind)
     (p_lo, p_hi), (q_lo, q_hi) = task.ranges
     keys = [
@@ -136,22 +133,24 @@ def _encode(record: dict) -> bytes:
 
 
 def _read_complete_lines(path: str) -> tuple[list[dict], int]:
-    """Parsed records of every newline-terminated line, plus the byte offset
-    where the last complete line ends (a trailing partial line is ignored)."""
-    records = []
+    """The JSON object on every newline-terminated line, plus the byte offset
+    where the last complete line ends (a trailing partial line is ignored).
+    A complete line holding anything else, a blank line included, raises
+    PersistenceError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise PersistenceError(f"cannot read {path}: {exc}") from exc
     end = data.rfind(b"\n") + 1
-    for line in data[:end].splitlines():
-        if not line:
-            continue
+    records = []
+    for i, line in enumerate(data[:end].splitlines(), 1):
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"malformed line in {path}: {exc}") from exc
+        except ValueError as exc:  # also undecodable bytes
+            raise PersistenceError(f"malformed line {i} in {path}: {exc}") from exc
+        if not isinstance(records[-1], dict):
+            raise PersistenceError(f"line {i} of {path} is not a JSON object")
     return records, end
 
 
@@ -221,7 +220,7 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
         _check_manifest(task, out)
         prior, offset = _read_complete_lines(out)
         for i, rec in enumerate(prior):
-            if i >= len(keys) or tuple(rec.get("key", ())) != keys[i]:
+            if i >= len(keys) or rec.get("key") != list(keys[i]):
                 raise PersistenceError(f"{out} does not match this task at line {i + 1}")
         done = len(prior)
         with open(out, "rb+") as fh:

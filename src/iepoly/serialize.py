@@ -30,6 +30,7 @@ _MAGIC = b"IEPC"
 _BIN_HEADER = struct.Struct("<4sH6q8s")  # magic, version, p,q,r,degree,count,half, engine
 _CSV_COLUMNS = "index,coefficient"
 _ROW_CHUNK = 1 << 16  # rows formatted per write; bounds the writers' memory
+_READ_CHUNK = 1 << 20  # bytes per binary payload read
 
 
 def header_dict(vec: CoefficientVector) -> dict:
@@ -165,10 +166,14 @@ def read_binary(fp: IO[bytes]):
     magic, version, p, q, r, deg, count, half, engine = _BIN_HEADER.unpack(raw)
     if magic != _MAGIC:
         raise ValueError(f"unrecognized binary record (magic={magic!r})")
-    payload = fp.read()  # the rest of the stream: no allocation sized by the header
+    # the rest of the stream, grown into one writable buffer: no allocation
+    # is sized by the header, and the payload is never held twice
+    payload = bytearray()
+    while chunk := fp.read(_READ_CHUNK):
+        payload += chunk
     if len(payload) != 8 * count:
         raise ValueError(f"payload of {len(payload)} bytes for {count} coefficients")
     header = dict(format=FORMAT_NAME, version=version, p=p, q=q, r=r, degree=deg)
     header["engine"] = engine.rstrip(b"\0").decode("ascii")
     header["half"] = {0: False, 1: True}.get(half, half)
-    return header, np.frombuffer(payload, dtype="<i8").astype(np.int64)
+    return header, np.frombuffer(payload, dtype="<i8")

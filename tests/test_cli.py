@@ -166,6 +166,35 @@ def test_search_resume_rejects_other_task(tmp_path, capsys):
     assert open(out_file, "rb").read() == first_line
 
 
+@pytest.mark.parametrize("bad", [b"5\n", b'{"task":"height-sweep","key":3}\n', b"\n"])
+def test_search_resume_rejects_foreign_lines(tmp_path, capsys, bad):
+    out_file = str(tmp_path / "sweep.jsonl")
+    argv = ("search", "height-sweep", "7", "8", "9", "--out", out_file)
+    assert run(capsys, *argv)[0] == 0
+    first, second = open(out_file, "rb").readlines()[:2]
+    with open(out_file, "wb") as fh:
+        fh.write(first + bad + second)
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 2 and "line 2" in err and "Traceback" not in err
+
+
+def test_search_offset_on_triple_kind(tmp_path, capsys):
+    out_file = str(tmp_path / "h.jsonl")
+    code, _, err = run(
+        capsys, "search", "height-sweep", "6", "7", "9", "--s", "4", "--out", out_file
+    )
+    assert code == 2 and "takes no offset" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_samples_below_one(capsys, samples):
+    code, _, err = run(
+        capsys, "verify", "second-difference", "101", "103", "997",
+        "--mode", "sampled", "--samples", samples,
+    )
+    assert code == 2 and "samples must be at least 1" in err
+
+
 def test_search_bounds_syntax(tmp_path, capsys):
     out_file = str(tmp_path / "k.jsonl")
     code, _, _ = run(capsys, "search", "flat-hunt", "3:5", "4:7", "10:80", "--out", out_file)

@@ -87,6 +87,27 @@ def test_half_mode_is_prefix():
     assert np.array_equal(half.full_coeffs(), full.coeffs)
 
 
+@pytest.mark.parametrize("triple", [(3, 5, 7), (4, 5, 21), (5, 7, 11)])  # even and odd
+@pytest.mark.parametrize("mode", ["full", "half"])
+def test_coefficient_reads_ints_and_arrays(triple, mode):
+    vec = coeffs_series(Triple(*triple), mode=mode)
+    d = vec.degree
+    full = coeffs_series(Triple(*triple)).coeffs.tolist()
+    ms = np.arange(-5, d + 6)
+    expect = [full[m] if 0 <= m <= d else 0 for m in ms.tolist()]
+    got = vec.coefficient(ms)
+    assert got.dtype == np.int64 and got.shape == ms.shape
+    assert got.tolist() == expect
+    for m in ms.tolist():
+        a = vec.coefficient(m)
+        assert type(a) is int and a == expect[m + 5], m
+    assert vec.coefficient(np.array([], dtype=np.int64)).shape == (0,)
+    if mode == "full":  # never mirrored: the upper half is read where stored
+        vec.coeffs[d - 1] += 7
+        assert vec.coefficient(d - 1) == full[d - 1] + 7
+        assert vec.coefficient(np.array([1, d - 1])).tolist() == [full[1], full[d - 1] + 7]
+
+
 @pytest.mark.parametrize("p,q,r", [(3, 5, 7), (5, 7, 11), (7, 5, 3)])
 def test_coefficient_at_matches_vector(p, q, r):
     t = Triple(p, q, r)

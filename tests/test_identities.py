@@ -143,6 +143,24 @@ def test_offset_period_skips_zero_beta(mode):
     assert rep.passed and rep.checked == 0
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_offset_period_draws_nothing_when_s_exceeds_pq(mode, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("offset-period drew positions with s > pq")
+
+    monkeypatch.setattr(identities, "_positions", refuse)
+    rep = verify_identity("offset-period", Triple(3, 5, 31), mode=mode, samples=500)
+    assert rep.passed and rep.checked == 0
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_samples_below_one_rejected(samples):
+    with pytest.raises(PreconditionViolated, match="samples"):
+        verify_identity("second-difference", Triple(3, 5, 7), samples=samples)
+    with pytest.raises(PreconditionViolated, match="samples"):
+        verify_identity_bundle(Triple(3, 5, 7), samples=samples, mode="sampled")
+
+
 def test_positions_exhaustive_grid_in_axis_order():
     def keep(a, b, c):
         return a + b + c != 1

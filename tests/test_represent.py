@@ -79,12 +79,10 @@ def test_decompose_reconstructs(n):
 
 
 def test_decompose_builds_no_tables(monkeypatch):
-    represent._context.cache_clear()
-
     def refuse(t):
         raise AssertionError(f"decompose built lookup tables for {t}")
 
-    monkeypatch.setattr(represent, "_Context", refuse)
+    monkeypatch.setattr(represent, "_residue_tables", refuse)
     for t in (Triple(3, 5, 7), Triple(4294967311, 3, 5)):  # the latter: 32 GiB of tables
         p, q, r = t.as_tuple()
         for n in (0, 1, t.product - 1, t.product + 12345, -(7 ** 20)):

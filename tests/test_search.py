@@ -59,6 +59,11 @@ class TestTaskValidation:
         with pytest.raises(InvalidParameters):
             SearchTask("height-sweep", ((5, 3), (3, 9), (3, 9)))
 
+    @pytest.mark.parametrize("kind", ["height-sweep", "flat-hunt"])
+    def test_offset_on_triple_kind(self, kind):
+        with pytest.raises(InvalidParameters, match="takes no offset"):
+            SearchTask(kind, RANGES, s=4)
+
 
 def test_sweep_and_readback(tmp_path):
     out = str(tmp_path / "run.jsonl")
@@ -108,6 +113,28 @@ def test_resume_rejects_foreign_file(tmp_path):
     task = SearchTask("height-sweep", RANGES, resume_from=out)
     with pytest.raises(PersistenceError):
         sweep_heights(task, out)
+
+
+# lines no sweep writes, placed after the first record; read_results itself
+# rejects those that are not JSON objects
+@pytest.mark.parametrize("bad,unreadable", [
+    (b"5\n", True),  # a bare number
+    (b'{"task":"height-sweep","key":3}\n', False),  # a key that is not a list
+    (b"\n", True),  # a blank line between two records
+])
+def test_resume_rejects_lines_a_sweep_never_writes(tmp_path, bad, unreadable):
+    task = SearchTask("height-sweep", RANGES)
+    out = str(tmp_path / "r.jsonl")
+    sweep_heights(task, out)
+    first, second = open(out, "rb").readlines()[:2]
+    with open(out, "wb") as fh:
+        fh.write(first + bad + second)
+    with pytest.raises(PersistenceError, match="line 2"):
+        sweep_heights(SearchTask("height-sweep", RANGES, resume_from=out), out)
+    assert open(out, "rb").read() == first + bad + second
+    if unreadable:
+        with pytest.raises(PersistenceError, match="line 2"):
+            read_results(out)
 
 
 def test_resume_into_other_file_rejected(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,29 @@ def test_binary_rejects_bad_magic():
     mangled = b"XXXX" + buf.getvalue()[4:]
     with pytest.raises(PersistenceError):
         serialize.read_binary(io.BytesIO(mangled))
+
+
+def test_binary_read_holds_one_payload(tmp_path):
+    # degree 2,142,000: the payload spans many read chunks; holding the read
+    # bytes and an int64 copy at once would peak at 2x the vector
+    vec = coeffs_series(Triple(101, 103, 211))
+    path = tmp_path / "v.bin"
+    with open(path, "wb") as fh:
+        serialize.write_binary(vec, fh)
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            back = serialize.read_binary(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * vec.coeffs.nbytes
+    assert back.coeffs.flags.writeable and back.coeffs.dtype == np.int64
+    assert np.array_equal(back.coeffs, vec.coeffs)
+    raw = path.read_bytes()
+    for bad in (raw + b"\0", raw[:-1]):  # a trailing byte, a missing one
+        with pytest.raises(PersistenceError, match="payload of"):
+            serialize.read_binary(io.BytesIO(bad))
 
 
 def test_csv_rejects_row_gap():
