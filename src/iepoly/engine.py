@@ -104,8 +104,8 @@ class CoefficientVector:
         return np.concatenate([self.coeffs, tail])
 
     def coefficient(self, m: int | np.ndarray) -> int | np.ndarray:
-        """a_m for an int m, giving an int, or an int64 array of m, giving an
-        int64 array: 0 outside [0, degree], a_(degree-m) past a half vector."""
+        """a_m for an int m (an int) or an int64 array of m (an int64 array);
+        0 outside [0, degree], and a_(degree-m) past the end of a half vector."""
         ms = np.asarray(m, dtype=np.int64)
         idx = np.clip(ms, 0, self.degree)
         if self.half:

@@ -133,10 +133,10 @@ def _encode(record: dict) -> bytes:
 
 
 def _read_complete_lines(path: str) -> tuple[list[dict], int]:
-    """The JSON object on every newline-terminated line, plus the byte offset
+    """The record on every newline-terminated line, plus the byte offset
     where the last complete line ends (a trailing partial line is ignored).
-    A complete line holding anything else, a blank line included, raises
-    PersistenceError."""
+    A complete line that is not a JSON object in the compact encoding a
+    sweep writes, a blank line included, raises PersistenceError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -144,13 +144,14 @@ def _read_complete_lines(path: str) -> tuple[list[dict], int]:
         raise PersistenceError(f"cannot read {path}: {exc}") from exc
     end = data.rfind(b"\n") + 1
     records = []
-    for i, line in enumerate(data[:end].splitlines(), 1):
+    for i, line in enumerate(data[:end].split(b"\n")[:-1], 1):
         try:
             records.append(json.loads(line))
         except ValueError as exc:  # also undecodable bytes
             raise PersistenceError(f"malformed line {i} in {path}: {exc}") from exc
-        if not isinstance(records[-1], dict):
-            raise PersistenceError(f"line {i} of {path} is not a JSON object")
+        # a resumed file keeps these bytes, so a "\r\n" or a space would stay
+        if not isinstance(records[-1], dict) or _encode(records[-1]) != line + b"\n":
+            raise PersistenceError(f"line {i} of {path} is not a record as a sweep writes it")
     return records, end
 
 
@@ -220,7 +221,8 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
         _check_manifest(task, out)
         prior, offset = _read_complete_lines(out)
         for i, rec in enumerate(prior):
-            if i >= len(keys) or rec.get("key") != list(keys[i]):
+            # compared as JSON text, where 3.0 is not 3
+            if i >= len(keys) or json.dumps(rec.get("key")) != json.dumps(list(keys[i])):
                 raise PersistenceError(f"{out} does not match this task at line {i + 1}")
         done = len(prior)
         with open(out, "rb+") as fh:

@@ -115,23 +115,27 @@ def test_resume_rejects_foreign_file(tmp_path):
         sweep_heights(task, out)
 
 
-# lines no sweep writes, placed after the first record; read_results itself
-# rejects those that are not JSON objects
-@pytest.mark.parametrize("bad,unreadable", [
-    (b"5\n", True),  # a bare number
-    (b'{"task":"height-sweep","key":3}\n', False),  # a key that is not a list
-    (b"\n", True),  # a blank line between two records
-])
-def test_resume_rejects_lines_a_sweep_never_writes(tmp_path, bad, unreadable):
+# the second record mangled into lines no sweep writes; read_results itself
+# rejects those that are not JSON objects in the compact encoding
+@pytest.mark.parametrize("mangle,unreadable", [
+    (lambda line: b"5\n" + line, True),  # a bare number
+    (lambda line: b'{"task":"height-sweep","key":3}\n' + line, False),  # key not a list
+    (lambda line: b"\n" + line, True),  # a blank line between two records
+    (lambda line: line[:-1] + b"\r\n", True),  # a CRLF line end
+    (lambda line: line.replace(b'"key":[3,', b'"key":[3.0,'), False),  # a float key
+], ids=["number", "int-key", "blank", "crlf", "float-key"])
+def test_resume_rejects_lines_a_sweep_never_writes(tmp_path, mangle, unreadable):
     task = SearchTask("height-sweep", RANGES)
     out = str(tmp_path / "r.jsonl")
     sweep_heights(task, out)
     first, second = open(out, "rb").readlines()[:2]
+    mangled = first + mangle(second)
+    assert mangled != first + second
     with open(out, "wb") as fh:
-        fh.write(first + bad + second)
+        fh.write(mangled)
     with pytest.raises(PersistenceError, match="line 2"):
         sweep_heights(SearchTask("height-sweep", RANGES, resume_from=out), out)
-    assert open(out, "rb").read() == first + bad + second
+    assert open(out, "rb").read() == mangled
     if unreadable:
         with pytest.raises(PersistenceError, match="line 2"):
             read_results(out)
