@@ -10,6 +10,7 @@ Regenerate the data files (only when an output is meant to change) with
     PYTHONPATH=src python tests/test_sweep_golden.py --write
 """
 
+import dataclasses
 import pathlib
 import shutil
 import sys
@@ -51,8 +52,7 @@ def test_cut_and_resume_matches_golden(kind, tmp_path):
         out = tmp_path / f"cut{cut}.jsonl"
         out.write_bytes(results[:cut])
         pathlib.Path(str(out) + MANIFEST_SUFFIX).write_bytes(manifest)
-        task = SearchTask(**{**TASKS[kind].__dict__, "resume_from": str(out)})
-        summary = sweep_heights(task, str(out))
+        summary = sweep_heights(dataclasses.replace(TASKS[kind], resume_from=str(out)), str(out))
         assert summary.skipped == results[:cut].count(b"\n"), cut
         assert (out.read_bytes(), pathlib.Path(str(out) + MANIFEST_SUFFIX).read_bytes()) == (
             results, manifest
