@@ -7,26 +7,23 @@ The polynomial attached to a pairwise-coprime triple {p, q, r} is
     (1 - z^pq)(1 - z^qr)(1 - z^rp)(1 - z)
 
 of degree (p-1)(q-1)(r-1).  The series engine evaluates that quotient as a
-truncated power series over int64: multiplying by (1 - z^a) is a lagged
-subtraction, dividing is a strided running sum, so the whole vector costs
-seven linear passes.  The window engine instead counts representable
-integers in four sliding windows derived from the decomposition; the two
-routes share no code beyond the triple itself, which is what makes their
-agreement a meaningful check.
+truncated power series over int64.  With (u, v, w) the sorted triple, it
+writes the series of 1/Q_uv(z) = (1 + z + ... + z^(u-1))(1 - z^v) /
+(1 - z^uv) into the zeroed vector as its period uv repeated: +1 at offsets
+[0, u), -1 at [v, v + u).  Three linear passes follow: x(1 - z^w), a lagged
+subtraction, then /(1 - z^vw) and /(1 - z^wu), strided running sums;
+(1 - z^uvw) is left out, since uvw > degree.  The window engine instead
+counts representable integers in four sliding windows derived from the
+decomposition; the two routes share no code beyond the triple itself,
+which is what makes their agreement a meaningful check.
 
-Intermediate bound.  Let (u, v, w) be the sorted triple and let the series
-hold n <= degree + 1 entries.  The passes run in the order
-x(1 - z^u), x(1 - z^v), /(1 - z), /(1 - z^uv), x(1 - z^w), /(1 - z^vw),
-/(1 - z^wu); x(1 - z^uvw) is left out, since uvw > degree.  The first four
-leave the truncated series of 1/Q_uv(z) = (1 + z + ... + z^(u-1))(1 - z^v)
-/ (1 - z^uv).  For u = 1 that is 1; otherwise the numerator has
-coefficients in {-1, 0, 1} and degree u + v - 1 < uv, and the series
-repeats it with period uv, so |c| <= 1.  Multiplying by
-(1 - z^w) sets c[i] - c[i-w], so |c| <= 2.  Dividing by (1 - z^b) sets
+Intermediate bound.  Let the series hold n <= degree + 1 entries.  The
+written stage has |c| <= 1 (for u = 1 the degree is 0, and it writes c[0]
+= 1 alone).  x(1 - z^w) sets c[i] - c[i-w], so |c| <= 2.  /(1 - z^b) sets
 c[i] to the sum of c[i - k*b] over k >= 0, at most ceil(n/b) terms; as
 n - 1 <= (u-1)(v-1)(w-1), that is at most u terms for b = vw and v for
-b = wu.  So every intermediate satisfies |c| <= 2uv, and uv <= (uvw)^(2/3)
-<= 2^40 for every Triple (product <= 2^60): int64 holds them at any
+b = wu, so |c| <= 2u and then |c| <= 2uv.  As uv <= (uvw)^(2/3) <= 2^40
+for every Triple (product <= 2^60), int64 holds every intermediate at any
 degree cap, and no run-time guard is needed.
 """
 
@@ -116,15 +113,20 @@ class CoefficientVector:
     def validate(self) -> None:
         """Structural self-checks; raises InvariantViolated on violation.
 
+        A half vector is checked on its stored entries alone, never mirrored.
         Explicit raises rather than asserts, so the checks survive python -O.
         """
-        full = self.full_coeffs()
-        _require(len(full) == self.degree + 1, "wrong vector length")
-        _require(full[0] == 1, "leading coefficient must be 1")
-        _require(full[-1] == 1, "trailing coefficient must be 1")
-        _require(int(full.sum()) == 1, "coefficients must sum to 1")
-        low = full[: self.degree // 2 + 1]  # a palindrome's values all lie here
-        _require(np.array_equal(low, full[::-1][: len(low)]), "vector must be palindromic")
+        c = self.coeffs
+        _require(len(c) == self.stored_length(self.degree, self.half), "wrong vector length")
+        _require(c[0] == 1, "leading coefficient must be 1")
+        _require(self.half or c[-1] == 1, "trailing coefficient must be 1")
+        total = int(c.sum())
+        if self.half:  # the mirror repeats every entry but the middle of an even degree
+            total = 2 * total - (int(c[-1]) if self.degree % 2 == 0 else 0)
+        _require(total == 1, "coefficients must sum to 1")
+        low = c[: self.degree // 2 + 1]  # a palindrome's values all lie here
+        palindrome = self.half or np.array_equal(low, c[::-1][: len(low)])
+        _require(palindrome, "vector must be palindromic")
         # n entries take at most n distinct values; a wider span cannot be a
         # consecutive run, and checking first keeps bincount's table small
         lo, hi = int(low.min()), int(low.max())
@@ -151,18 +153,11 @@ def _multiply_factor(c: np.ndarray, a: int) -> None:
 
 
 def _divide_factor(c: np.ndarray, b: int) -> None:
-    """c *= 1/(1 - z^b), truncated: c[i] += c[i-b] in increasing order."""
-    n = len(c)
-    if b >= n:
-        return
-    if b == 1:
-        np.add.accumulate(c, out=c)
-        return
-    main = n // b * b
-    view = c[:main].reshape(-1, b)
-    np.add.accumulate(view, axis=0, out=view)
-    if main < n:
-        c[main:] += c[main - b : n - b]
+    """c *= 1/(1 - z^b), truncated: c[i] += c[i-b] in increasing order, one
+    length-b row at a time (numpy's accumulate down a (-1, b) view loops
+    along its short columns, several times slower)."""
+    for lo in range(b, len(c), b):
+        c[lo : lo + b] += c[lo - b : min(lo, len(c) - b)]
 
 
 def coeffs_series(
@@ -182,12 +177,12 @@ def coeffs_series(
         raise DegreeCapExceeded(deg, limit)
     u, v, w = t.sorted()
     c = np.zeros(CoefficientVector.stored_length(deg, mode == "half"), dtype=np.int64)
-    c[0] = 1
-    # this order keeps |c| <= 2uv after every pass; see the module docstring
-    _multiply_factor(c, u)
-    _multiply_factor(c, v)
-    _divide_factor(c, 1)
-    _divide_factor(c, u * v)
+    # the series of 1/Q_uv, whole periods as rows and then the cut last one;
+    # this order keeps |c| <= 2uv after every pass, see the module docstring
+    whole = len(c) // (u * v) * (u * v)
+    for rows in (c[:whole].reshape(-1, u * v), c[whole:].reshape(1, -1)):
+        rows[:, :u] = 1
+        rows[:, v : v + u] = -1
     _multiply_factor(c, w)
     _divide_factor(c, v * w)
     _divide_factor(c, w * u)

@@ -134,14 +134,18 @@ def is_representable(n: int, t: Triple) -> bool:
     return bool(indicator_many(n, t))
 
 
+def _mod(a, m: int):
+    """a % m for m >= 1; an int64 array takes a - a // m * m, which numpy
+    divides without the hardware divide that `%` still uses."""
+    return a % m if a.dtype == object else a - a // m * m
+
+
 def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
     """Vectorized representability indicator (uint8) for int64 n < product.
 
     Negative entries yield 0 without special casing: the reconstructed sum
     of table entries is always nonnegative, so it can never equal n < 0.
-    Works through cache-sized blocks of _BLOCK positions, and takes each
-    residue as n - n // m * m: numpy divides by a scalar without a hardware
-    divide, which `%` still uses.
+    Works through cache-sized blocks of _BLOCK positions.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= t.product:
@@ -151,9 +155,9 @@ def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
     out = np.empty(flat.size, dtype=np.uint8)
     for lo in range(0, flat.size, _BLOCK):
         n = flat[lo : lo + _BLOCK]
-        tot = xtab[n - n // t.p * t.p]
-        tot += ytab[n - n // t.q * t.q]
-        tot += ztab[n - n // t.r * t.r]
+        tot = xtab[_mod(n, t.p)]
+        tot += ytab[_mod(n, t.q)]
+        tot += ztab[_mod(n, t.r)]
         np.equal(tot, n, out=out[lo : lo + _BLOCK].view(np.bool_))
     return out.reshape(ns.shape)[()]  # [()] turns a 0-d result into a scalar
 
@@ -176,13 +180,13 @@ def semigroup_representative(n: int | np.ndarray, t: Triple, pivot: int) -> int 
     pq = p * q
     ns = np.asarray(n, dtype=np.int64)
     # one dimension even for a scalar, so an object dtype lasts to the end
-    c = ns.reshape(-1) % pq
+    c = _mod(ns.reshape(-1), pq)
     if pq > _INT64_SQRT:  # the residue products below would wrap in int64
         c = c.astype(object)
-    c = c * mod_inverse(pivot % pq, pq) % pq
+    c = _mod(c * mod_inverse(pivot % pq, pq), pq)
     if min(p, q) > 1:
         # c is in <p, q> iff c = x*q + y*p with x = c * q^(-1) mod p, y >= 0
-        x = c % p * mod_inverse(q % p, p) % p
+        x = _mod(_mod(c, p) * mod_inverse(q % p, p), p)
         c = np.where(c >= x * q, c, c + pq)
     out = c.astype(np.int64)
     return int(out[0]) if ns.ndim == 0 else out.reshape(ns.shape)

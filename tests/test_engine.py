@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -126,8 +127,6 @@ def test_coefficient_at_matches_vector(p, q, r):
 
 
 def test_permutation_invariance():
-    import itertools
-
     for base in [(3, 5, 7), (3, 4, 5), (5, 7, 11), (2, 3, 5)]:
         ref = None
         for perm in itertools.permutations(base):
@@ -231,16 +230,19 @@ def test_series_bound_is_structural(monkeypatch):
     for p, q, r in triples:
         t = Triple(p, q, r)
         u, v, w = t.sorted()
-        passes = [("multiply", u), ("multiply", v), ("divide", 1), ("divide", u * v),
-                  ("multiply", w), ("divide", v * w), ("divide", w * u)]
+        passes = [("multiply", w), ("divide", v * w), ("divide", w * u)]
         for mode in ("full", "half"):
-            # an int64 shadow run of the seven passes, checked after each one
-            c = np.zeros(CoefficientVector.stored_length(degree(t), mode == "half"),
-                         dtype=np.int64)
-            c[0] = 1
+            # an int64 shadow run: the series of 1/Q_uv, one period being +1
+            # at [0, u) and -1 at [v, v + u), then the three passes, with the
+            # bound checked after each step
+            n = CoefficientVector.stored_length(degree(t), mode == "half")
+            i = np.arange(n) % (u * v)
+            c = (i < u).astype(np.int64) - ((v <= i) & (i < v + u))
+            assert int(np.abs(c).max()) <= 1, (t, mode)
             for kind, k in passes:
                 getattr(engine, f"_{kind}_factor")(c, k)
                 assert int(np.abs(c).max()) <= 2 * u * v, (t, mode, kind, k)
+            assert np.array_equal(c, coeffs_series(t, mode=mode).coeffs), (t, mode)
     # the engine runs exactly those passes, in that order
     run = []
     for kind in ("multiply", "divide"):
@@ -250,11 +252,40 @@ def test_series_bound_is_structural(monkeypatch):
             lambda c, k, _kind=kind, _step=step: run.append((_kind, k)) or _step(c, k),
         )
     coeffs_series(Triple(7, 3, 5))
-    assert run == [("multiply", 3), ("multiply", 5), ("divide", 1), ("divide", 15),
-                   ("multiply", 7), ("divide", 35), ("divide", 21)]
+    assert run == [("multiply", 7), ("divide", 35), ("divide", 21)]
     # uv <= product^(2/3) <= 2^40 at the Triple product limit, so 2uv fits int64
     assert (1 << 40) ** 3 == represent._PRODUCT_LIMIT ** 2
     assert 2 * (1 << 40) < 1 << 63
+
+
+def test_series_first_stage_matches_long_division():
+    # the written series of 1/Q_uv, through the whole engine, against the
+    # independent oracle: every element order of triples with an element 1
+    # or 2, and seeded random triples, full and half
+    triples = {perm for base in [(1, 3, 4), (1, 5, 7), (2, 3, 5), (2, 5, 7), (2, 3, 7)]
+               for perm in itertools.permutations(base)}
+    rng = np.random.default_rng(11)
+    while len(triples) < 80:
+        p, q, r = rng.integers(1, 30, size=3).tolist()
+        try:
+            if Triple(p, q, r).product <= 4000:
+                triples.add((p, q, r))
+        except InvalidTriple:
+            pass
+    shapes = set()
+    for p, q, r in sorted(triples):
+        u, v, _ = sorted((p, q, r))
+        ref = reference_coeffs(p, q, r)
+        for mode in ("full", "half"):
+            c = coeffs_series(Triple(p, q, r), mode=mode).coeffs
+            assert c.tolist() == ref[: len(c)], (p, q, r, mode)
+            if len(c) < v:
+                shapes.add("-1 block cut off")
+            if len(c) < u * v:
+                shapes.add("cut last period only")
+            elif len(c) % (u * v):
+                shapes.add("ends mid-period")
+    assert shapes == {"-1 block cut off", "cut last period only", "ends mid-period"}
 
 
 def _peak_ratio(build):

@@ -114,6 +114,25 @@ def test_binary_read_holds_one_payload(tmp_path):
             serialize.read_binary(io.BytesIO(bad))
 
 
+def test_half_read_peaks_no_higher_than_full(tmp_path):
+    # validate() checks a half vector on its stored entries and never builds
+    # the mirrored full vector, so a half file costs no more to read
+    t = Triple(101, 103, 211)
+    peaks = {}
+    for mode in ("full", "half"):
+        path = tmp_path / f"{mode}.bin"
+        with open(path, "wb") as fh:
+            serialize.write_binary(coeffs_series(t, mode=mode), fh)
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                assert serialize.read_binary(fh).half == (mode == "half")
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["half"] <= peaks["full"]
+
+
 def test_csv_rejects_row_gap():
     vec = coeffs_series(Triple(3, 5, 7))
     buf = io.StringIO()
