@@ -16,8 +16,8 @@ from .height import coefficient_set, height, is_flat
 from .report import VerificationReport
 from .represent import Triple
 
-# Reference heights from published tables; the only hard-coded values in the
-# package.  Everything else is derived.
+# Reference heights from published tables; with KNOWN_SUP and KNOWN_FLAT below,
+# the only hard-coded values in the package.  Everything else is derived.
 KNOWN_HEIGHTS: tuple[tuple[tuple[int, int, int], int], ...] = (
     ((5, 7, 3), 2),
     ((11, 13, 4), 3),
@@ -26,6 +26,9 @@ KNOWN_HEIGHTS: tuple[tuple[tuple[int, int, int], int], ...] = (
     ((7, 11, 5), 3),
     ((13, 43, 564), 4),
 )
+
+# Offsets whose true pairwise supremum is pinned by published computations.
+KNOWN_SUP = {1: 0, 2: 1, 3: 2, 4: 3, 5: 3}
 
 # Triples with third element = k*pq +- 1; these must be flat.
 KNOWN_FLAT: tuple[tuple[int, int, int], ...] = (

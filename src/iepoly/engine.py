@@ -41,12 +41,13 @@ from .errors import (
     InvalidTriple,
     InvariantViolated,
 )
-from .represent import Triple, indicator_range, window_count, window_sum
+from .represent import Triple, indicator_range, padded_prefix, window_count, window_sum
 
 DEFAULT_DEGREE_CAP = 20_000_000
 DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
 
-# Entries per block of the lagged subtraction in _multiply_factor.
+# Entries per block of the lagged subtraction in _multiply_factor and of
+# the consecutive-run check in CoefficientVector.validate.
 _BLOCK = 1 << 16
 
 ENGINE_SERIES = "series"
@@ -127,13 +128,15 @@ class CoefficientVector:
         low = c[: self.degree // 2 + 1]  # a palindrome's values all lie here
         palindrome = self.half or np.array_equal(low, c[::-1][: len(low)])
         _require(palindrome, "vector must be palindromic")
-        # n entries take at most n distinct values; a wider span cannot be a
-        # consecutive run, and checking first keeps bincount's table small
+        # n entries take at most n distinct values, so a wider span is no run;
+        # checked first, it bounds the table of seen values, marked by blocks
         lo, hi = int(low.min()), int(low.max())
-        _require(
-            hi - lo < len(low) and np.bincount(low - lo).all(),
-            "coefficient values must form a consecutive run",
-        )
+        run = "coefficient values must form a consecutive run"
+        _require(hi - lo < len(low), run)
+        seen = np.zeros(hi - lo + 1, dtype=np.bool_)
+        for i in range(0, len(low), _BLOCK):
+            seen[low[i : i + _BLOCK] - lo] = True
+        _require(seen.all(), run)
 
 
 def _require(ok, message: str) -> None:
@@ -205,20 +208,13 @@ def coeffs_window(t: Triple, cap: int | None = None) -> CoefficientVector:
     if deg > limit:
         raise DegreeCapExceeded(deg, limit)
     u, v, w = t.sorted()
-    ind = indicator_range(t, deg + 1)
-    # padded[off + j] counts representable integers below j; the zeros in
-    # front make every window that reaches below 0 count nothing there
+    # padded[off + j] counts representable integers below j (padded_prefix);
+    # the indicator is freed once the table is built
     off = u + v + w + 1
-    padded = np.zeros(off + deg + 2, dtype=np.int64)
-    # widen in place, then sum in place: a cumsum from uint8 into int64
-    # would allocate a full-size int64 temporary
-    prefix = padded[off + 1 :]
-    prefix[:] = ind
-    del ind
-    np.cumsum(prefix, out=prefix)
+    padded = padded_prefix(indicator_range(t, deg + 1), off)
     # counts[j] is the window count of length u ending at j - off - 1 + u
     counts = padded[u:] - padded[:-u]
-    del padded, prefix
+    del padded
 
     def win(d: int) -> np.ndarray:
         # window count of length u ending at m - d, for m = 0..deg

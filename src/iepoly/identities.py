@@ -30,6 +30,7 @@ from .represent import (
     Triple,
     indicator_many,
     indicator_range,
+    padded_prefix,
     semigroup_representative,
     window_count,
     window_sum,
@@ -76,13 +77,8 @@ class _Workspace:
 
     @cached_property
     def prefix(self) -> np.ndarray:
-        # prefix[pad + i] = number of representable n < i; widened and then
-        # summed in place, as a cumsum from uint8 allocates an int64 temporary
-        out = np.zeros(self.pad + self.n + 1, dtype=np.int64)
-        body = out[self.pad + 1 :]
-        body[:] = self.ind[self.pad :]
-        np.cumsum(body, out=body)
-        return out
+        # prefix[pad + i] = number of representable n < i (padded_prefix)
+        return padded_prefix(self.ind[self.pad :], self.pad)
 
     @cached_property
     def series(self) -> CoefficientVector:

@@ -169,6 +169,17 @@ def indicator_range(t: Triple, stop: int) -> np.ndarray:
     return indicator_many(np.arange(max(stop, 0), dtype=np.int64), t)
 
 
+def padded_prefix(ind: np.ndarray, pad: int) -> np.ndarray:
+    """int64 table with out[pad + j] = ind[0] + ... + ind[j-1], behind pad
+    zeros.  ind is widened into the table and summed in place: a cumsum from
+    uint8 into int64 would allocate a full-size int64 temporary."""
+    out = np.zeros(pad + len(ind) + 1, dtype=np.int64)
+    body = out[pad + 1 :]
+    body[:] = ind
+    np.cumsum(body, out=body)
+    return out
+
+
 def semigroup_representative(n: int | np.ndarray, t: Triple, pivot: int) -> int | np.ndarray:
     """x_n*q + y_n*p, where pivot plays r and p, q are the other elements.
 

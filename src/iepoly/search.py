@@ -19,15 +19,12 @@ from typing import Iterator
 
 from ._version import __version__
 from .arith import enumerate_coprime_pairs
-from .checks import bounded_height_sup
+from .checks import KNOWN_SUP, bounded_height_sup
 from .errors import IEPolyError, InvalidParameters, PersistenceError
 from .height import height
 from .represent import Triple
 
 SEARCH_KINDS = ("height-sweep", "flat-hunt", "bound-attained", "sharp-step")
-
-# Offsets whose true pairwise supremum is pinned by published computations.
-KNOWN_SUP = {1: 0, 2: 1, 3: 2, 4: 3, 5: 3}
 
 MANIFEST_SUFFIX = ".manifest.json"
 
@@ -89,38 +86,44 @@ def _record(kind: str, key: tuple, s: int | None = None, target: int | None = No
     """The record of one key: the height record of the triple `key`, or for
     a pair task the height at (p, q, p*q + s) against the target height."""
     head = {"task": kind, "key": list(key)}
+    if s is None:
+        return {**head, **height(Triple(*key)).to_dict()}
+    r = key[0] * key[1] + s
+    h = height(Triple(*key, r)).height
+    return {**head, "s": s, "r": r, "height": h, "target": target, "solution": h == target}
+
+
+def _guarded(kind: str, record, key: tuple) -> dict:
+    """record(key), or an error record when it raises an IEPolyError, so one
+    failing key does not end a sweep."""
     try:
-        if s is None:
-            return {**head, **height(Triple(*key)).to_dict()}
-        r = key[0] * key[1] + s
-        h = height(Triple(*key, r)).height
-        return {
-            **head, "s": s, "r": r, "height": h, "target": target, "solution": h == target
-        }
+        return record(key)
     except IEPolyError as exc:
-        return {**head, "error": type(exc).__name__, "detail": str(exc)}
+        return {"task": kind, "key": list(key), "error": type(exc).__name__, "detail": str(exc)}
 
 
-def _task_items(task: SearchTask) -> tuple[list[tuple], object]:
-    """Ordered keys plus the per-key record function for a task."""
+def _task_items(task: SearchTask) -> tuple[list[tuple], object, dict]:
+    """Ordered keys, the per-key record function, and for a sharp-step task
+    the fields its target rests on (empty for every other kind)."""
     if task.kind in ("height-sweep", "flat-hunt"):
         keys = [  # a flat hunt keeps the offset-one triples, r = +-1 mod p*q
             t.as_tuple() for t in enumerate_coprime_triples(task.ranges)
             if task.kind == "height-sweep" or t.r % (t.p * t.q) in (1, t.p * t.q - 1)
         ]
-        return keys, partial(_record, task.kind)
+        return keys, partial(_record, task.kind), {}
     (p_lo, p_hi), (q_lo, q_hi) = task.ranges
     keys = [
         (p, q)
         for p, q in enumerate_coprime_pairs(p_hi, q_hi, coprime_to=task.s, p_min=p_lo)
         if q >= q_lo
     ]
-    if task.kind == "bound-attained":
-        target = task.s
-    else:
-        sup, _ = bounded_height_sup(task.s, max(p_hi, q_hi))
-        target = sup + 1
-    return keys, partial(_record, task.kind, s=task.s, target=target)
+    basis = {}
+    if task.kind == "sharp-step":  # exact when the known table pins the bounded sup
+        sup, attained = bounded_height_sup(task.s, max(p_hi, q_hi))
+        basis = {"sup_lower_bound": sup, "sup_attained_at": attained, "target": sup + 1,
+                 "conditional": KNOWN_SUP.get(task.s) != sup}
+    target = basis.get("target", task.s)
+    return keys, partial(_record, task.kind, s=task.s, target=target), basis
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,8 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
     """
     if task.resume_from not in (None, out):
         raise InvalidParameters(f"a sweep resumes its own output {out}, not {task.resume_from}")
-    keys, compute = _task_items(task)
+    keys, record, _ = _task_items(task)
+    compute = partial(_guarded, task.kind, record)
     done = 0
     if task.resume_from is not None and os.path.exists(out):
         _check_manifest(task, out)
@@ -268,40 +272,26 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
 # ---------------------------------------------------------------------------
 
 
-def _scan_pairs(s: int, p_max: int, target: int) -> dict:
-    """Height at p*q + s for every coprime pair 3 <= p < q <= p_max coprime
-    to s, and the pairs where it equals target."""
-    records = []
-    pairs = []
-    for p, q in enumerate_coprime_pairs(p_max, p_max, coprime_to=s):
-        val = height(Triple(p, q, p * q + s)).height
-        records.append({"p": p, "q": q, "r": p * q + s, "height": val})
-        if val == target:
-            pairs.append((p, q))
-    return {"pairs": pairs, "checked": len(records), "records": records}
+def _pair_search(kind: str, s: int, p_max: int) -> dict:
+    """A pair task over 3 <= p < q <= p_max, run in memory: its target basis,
+    the pairs that hit the target, and each pair's height at p*q + s."""
+    keys, record, basis = _task_items(SearchTask(kind, ((3, p_max), (3, p_max)), s=s))
+    records, pairs = [], []
+    for key in keys:
+        rec = record(key)
+        records.append({"p": key[0], "q": key[1], "r": rec["r"], "height": rec["height"]})
+        if rec["solution"]:
+            pairs.append(key)
+    return {"s": s, **basis, "pairs": pairs, "checked": len(records), "records": records}
 
 
 def find_bound_attained_pairs(s: int, p_max: int) -> dict:
     """Coprime pairs with the height at p*q + s exactly equal to s."""
-    if s < 1:
-        raise InvalidParameters("offset must be at least 1")
-    return {"s": s, **_scan_pairs(s, p_max, target=s)}
+    return _pair_search("bound-attained", s, p_max)
 
 
 def find_sharp_step_pairs(s: int, p_max: int) -> dict:
     """Coprime pairs whose height at p*q + s steps one above the bounded
     pairwise supremum for s.  Exact when that supremum is pinned by the
     known table; otherwise flagged conditional on the searched bound."""
-    if s < 1:
-        raise InvalidParameters("offset must be at least 1")
-    sup, attained = bounded_height_sup(s, p_max)
-    exact = s in KNOWN_SUP and sup == KNOWN_SUP[s]
-    target = sup + 1
-    return {
-        "s": s,
-        "sup_lower_bound": sup,
-        "sup_attained_at": attained,
-        "target": target,
-        "conditional": not exact,
-        **_scan_pairs(s, p_max, target),
-    }
+    return _pair_search("sharp-step", s, p_max)

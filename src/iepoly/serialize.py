@@ -30,7 +30,7 @@ _MAGIC = b"IEPC"
 _BIN_HEADER = struct.Struct("<4sH6q8s")  # magic, version, p,q,r,degree,count,half, engine
 _CSV_COLUMNS = "index,coefficient"
 _ROW_CHUNK = 1 << 16  # rows formatted per write; bounds the writers' memory
-_READ_CHUNK = 1 << 20  # bytes per binary payload read
+_READ_CHUNK = 1 << 18  # bytes per binary payload read; each is held beside the payload
 
 
 def header_dict(vec: CoefficientVector) -> dict:

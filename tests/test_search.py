@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from iepoly.errors import InvalidParameters, PersistenceError
+from iepoly import search
+from iepoly.errors import DegreeCapExceeded, InvalidParameters, PersistenceError
 from iepoly.search import (
     MANIFEST_SUFFIX,
     SearchTask,
@@ -214,3 +215,48 @@ def test_solution_lists_grow_monotonically():
     small = find_bound_attained_pairs(2, 8)["pairs"]
     large = find_bound_attained_pairs(2, 12)["pairs"]
     assert set(small) <= set(large)
+
+
+FINDERS = {"bound-attained": find_bound_attained_pairs, "sharp-step": find_sharp_step_pairs}
+
+
+@pytest.mark.parametrize("kind", FINDERS)
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
+def test_find_is_the_sweep_kind_in_memory(tmp_path, kind, s):
+    p_max = 11
+    res = FINDERS[kind](s, p_max)
+    out = str(tmp_path / "pairs.jsonl")
+    summary = sweep_heights(SearchTask(kind, ((3, p_max), (3, p_max)), s=s), out)
+    assert res["pairs"] == summary.solutions
+    assert all(type(pair) is tuple for pair in res["pairs"])
+    assert res["checked"] == summary.total == len(res["records"])
+    assert [(rec["p"], rec["q"], rec["r"], rec["height"]) for rec in res["records"]] == [
+        (*rec["key"], rec["r"], rec["height"]) for rec in read_results(out)
+    ]
+
+
+@pytest.mark.parametrize("kind", FINDERS)
+def test_direct_search_raises_where_the_sweep_records_errors(tmp_path, monkeypatch, kind):
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "500")
+    with pytest.raises(DegreeCapExceeded):
+        FINDERS[kind](1, 8)
+    out = str(tmp_path / "cap.jsonl")
+    summary = sweep_heights(SearchTask(kind, ((3, 8), (3, 8)), s=1), out)
+    records = read_results(out)
+    assert 0 < summary.errors < len(records)
+    assert {r["error"] for r in records if "error" in r} == {"DegreeCapExceeded"}
+
+
+def test_sharp_step_computes_its_supremum_once(monkeypatch):
+    real, calls = search.bounded_height_sup, []
+    monkeypatch.setattr(search, "bounded_height_sup", lambda *a: calls.append(a) or real(*a))
+    res = find_sharp_step_pairs(4, 12)
+    assert calls == [(4, 12)]
+    assert res["target"] == res["sup_lower_bound"] + 1
+
+
+@pytest.mark.parametrize("kind", FINDERS)
+@pytest.mark.parametrize("s, p_max", [(0, 10), (3, 2), (1, 0)])
+def test_direct_search_rejects_what_the_task_rejects(kind, s, p_max):
+    with pytest.raises(InvalidParameters):
+        FINDERS[kind](s, p_max)
