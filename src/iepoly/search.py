@@ -118,7 +118,7 @@ def _task_items(task: SearchTask) -> tuple[list[tuple], object, dict]:
         if q >= q_lo
     ]
     basis = {}
-    if task.kind == "sharp-step":  # exact when the known table pins the bounded sup
+    if task.kind == "sharp-step":  # conditional unless the known table pins this sup
         sup, attained = bounded_height_sup(task.s, max(p_hi, q_hi))
         basis = {"sup_lower_bound": sup, "sup_attained_at": attained, "target": sup + 1,
                  "conditional": KNOWN_SUP.get(task.s) != sup}
