@@ -26,8 +26,8 @@ class DomainExceeded(IEPolyError):
 class DegreeCapExceeded(IEPolyError):
     """Raised when a computation would allocate more coefficients than allowed."""
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"degree {required} exceeds the configured cap {cap}")
+    def __init__(self, required: int, cap: int, what: str = "degree"):
+        super().__init__(f"{what} {required} exceeds the configured cap {cap}")
         self.required = required
         self.cap = cap
 

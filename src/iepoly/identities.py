@@ -1,13 +1,15 @@
 """Pointwise identity validators for the representability machinery.
 
 Each check states one identity the coefficient theory rests on, once, over
-arrays of positions and three oracles: the indicator ind(ns), the count
-sigma(k, ms) of representable integers in (m-k, m] and the coefficient
-coeff(ms), each 0 at negative positions.  The mode chooses only the
-positions and the oracles: exhaustive mode walks the full index domain
-(feasible when p*q*r is small) and reads the tables of a shared workspace;
-sampled mode draws seeded uniform positions and evaluates directly; both
-draw through _positions.  Checks about the offset form r = p*q + s derive s
+positions and three oracles: the indicator ind(ns), the count sigma(k, ms)
+of representable integers in (m-k, m] and the coefficient coeff(ms), each 0
+at negative positions.  The mode chooses only the positions and the
+oracles; both draw through _positions.  Exhaustive mode walks the full
+index domain (feasible when p*q*r is small) as affine grids (_Grid), which
+the checks shift and scale; its oracles read a grid as a read-only strided
+view of a padded table in a shared workspace, and other positions with a
+gather from the same table.  Sampled mode draws seeded uniform positions
+and evaluates directly.  Checks about the offset form r = p*q + s derive s
 from the stored triple order and use the companion triple {p, q, s} where
 the identity calls for it; representative-residue uses {p, q, r mod p*q}.
 
@@ -20,11 +22,15 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property, partial, wraps
 from itertools import combinations
+from math import prod
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
-from .engine import CoefficientVector, coefficient_at, coeffs_series, degree
-from .errors import PreconditionViolated, UnknownCheck
+from .engine import (
+    CoefficientVector, coefficient_at, coeffs_series, degree, resolve_degree_cap,
+)
+from .errors import DegreeCapExceeded, InvariantViolated, PreconditionViolated, UnknownCheck
 from .report import VerificationReport
 from .represent import (
     Triple,
@@ -51,9 +57,9 @@ class _Workspace:
 
     ind, prefix and ext start with pad = 3*product zeros, so an exhaustive
     oracle reads position x as table[x + pad], and every x < 0 reads 0.
-    Checks read only x < product, and none reads below -2*product of the
-    triple whose table it reads.  The lowest reads are in below-multiple,
-    k*pivot - j*shift >= (1 - shift)*pivot - (pivot - 1)*shift
+    Checks count only positions x < product, and none reads below
+    -2*product of the triple whose table it reads.  The lowest reads are in
+    below-multiple, k*pivot - j*shift >= (1 - shift)*pivot - (pivot - 1)*shift
     = pivot + shift - 2*product, and in the offset checks with r = pq + s:
     offset-period reads k*r + j + beta*pq, and companion-window counts
     sigma_s from there down, both no lower than
@@ -62,17 +68,35 @@ class _Workspace:
     companion (product pq*s), companion-window counts down to
     (1 - pq)*s - pq - s + 1 = 1 - pq - pq*s.  All other reads lie above
     -product.  So 3*product zeros leave a margin of at least product.
+
+    A strided view reads its whole grid before a check's keep mask drops
+    the positions at or past product, so ind also ends with tail = product
+    zeros, and prefix, summed from it, with product more entries; no read
+    reaches 2*product, and _read refuses one that would leave its table.
+    The highest reads are in multiple-period,
+    k*pivot + j*shift <= (shift - 1)*pivot + (pivot - 1)*shift
+    = 2*product - pivot - shift, in offset-period (s >= 2),
+    k*r + j + beta*pq <= (pq - 1)*r + s - 1 + (pq//s)*pq
+    < product + pq*pq/2 < 3*product/2, and in companion-window, whose
+    prefix reads reach x + 1 <= product - pq + (pq//s)*pq
+    <= product - pq + pq*pq = 2*product - pq - pq*s, as pq*pq = product - pq*s.
+    Companion reads stay below the companion's product: k*s + j < pq*s,
+    and its prefix reads reach k*s + gamma + 1 <= pq*s.  Every other read,
+    coefficients included, lies below product (prefix: at most product),
+    so ext needs no tail.  table_length, that of prefix, is the longest.
     """
 
     def __init__(self, t: Triple):
         self.t = t
         self.n = t.product
         self.pad = 3 * t.product
+        self.tail = t.product
+        self.table_length = self.pad + self.n + self.tail + 1
 
     @cached_property
     def ind(self) -> np.ndarray:
-        out = np.zeros(self.pad + self.n, dtype=np.uint8)
-        out[self.pad :] = indicator_range(self.t, self.n)
+        out = np.zeros(self.pad + self.n + self.tail, dtype=np.uint8)
+        out[self.pad : self.pad + self.n] = indicator_range(self.t, self.n)
         return out
 
     @cached_property
@@ -97,20 +121,96 @@ class _Workspace:
         return _Workspace(Triple(self.t.p, self.t.q, _offset(self.t)))
 
 
+class _Grid(NDArrayOperatorsMixin):
+    """Affine positions base + strides . i over the index box `shape`,
+    walked first axis slowest: how exhaustive mode draws its positions.
+
+    Adding or subtracting an int or a grid of the same shape, and
+    multiplying by an int, give a grid again; every other operation (%,
+    //, comparisons, semigroup_representative) acts on the int64 array the
+    grid materializes through __array__.  keep is the mask over the box of
+    the positions a check counts, set on the grids _positions returns.
+    """
+
+    def __init__(self, base: int, strides: tuple, shape: tuple, keep=None):
+        self.base, self.strides, self.shape, self.keep = base, strides, shape, keep
+
+    @property
+    def size(self) -> int:
+        return prod(self.shape)
+
+    def __add__(self, other):
+        if isinstance(other, _Grid) and other.shape == self.shape:
+            strides = tuple(a + b for a, b in zip(self.strides, other.strides))
+            return _Grid(self.base + other.base, strides, self.shape)
+        if isinstance(other, (int, np.integer)):
+            return _Grid(self.base + int(other), self.strides, self.shape)
+        return super().__add__(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (_Grid, int, np.integer)):
+            return self + other * -1
+        return super().__sub__(other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, np.integer)):
+            m = int(other)
+            return _Grid(self.base * m, tuple(step * m for step in self.strides), self.shape)
+        return super().__mul__(other)
+
+    __rmul__ = __mul__
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.asarray(self.base, dtype=np.int64)
+        for step, n in zip(self.strides, self.shape):
+            # arange with a step: multiplying by it would take another pass
+            axis = np.arange(0, step * n, step, dtype=np.int64) if step else np.zeros(n, np.int64)
+            out = np.add.outer(out, axis)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        arrays = [np.asarray(x) if isinstance(x, _Grid) else x for x in inputs]
+        return getattr(ufunc, method)(*arrays, **kwargs)
+
+
+def _read(table: np.ndarray, xs, pad: int) -> np.ndarray:
+    """table[xs + pad]: a strided view of table when xs is a _Grid, a
+    gather otherwise.  The view is read-only, since every check of a bundle
+    reads the same table, and numpy checks its extent against the table.
+    It is built by the ndarray constructor, not as_strided, which costs
+    several times as much per view and checks no bounds."""
+    if not isinstance(xs, _Grid):
+        return table[xs + pad]
+    step = table.itemsize
+    try:
+        return np.ndarray(
+            xs.shape, table.dtype, memoryview(table).toreadonly(),
+            (xs.base + pad) * step, [s * step for s in xs.strides],
+        )
+    except ValueError:
+        raise InvariantViolated(
+            f"grid at {xs.base} with strides {xs.strides} and shape {xs.shape} "
+            f"reaches outside a table over [{-pad}, {len(table) - pad})"
+        ) from None
+
+
 _Oracles = namedtuple("_Oracles", "ind sigma coeff")
 
 
 def _oracles(ws: _Workspace, mode: str) -> _Oracles:
-    """Oracles of ws.t: one gather from the padded workspace tables in
-    exhaustive mode, evaluated directly when sampled.  Sampled coefficients
-    come from the workspace's series vector, which one bundle computes once,
-    or beyond _SERIES_SAMPLING_LIMIT from coefficient_at."""
+    """Oracles of ws.t.  Exhaustive: reads of the padded workspace tables,
+    views for affine grids and a gather otherwise (_read); sigma is the
+    difference of two prefix reads.  Sampled: evaluated directly, with
+    coefficients from the workspace's series vector, which one bundle
+    computes once, or beyond _SERIES_SAMPLING_LIMIT from coefficient_at."""
     t, pad = ws.t, ws.pad
     if mode == "exhaustive":
         return _Oracles(
-            lambda ns: ws.ind[ns + pad],
-            lambda k, ms: ws.prefix[ms + 1 + pad] - ws.prefix[ms + 1 - k + pad],
-            lambda ms: ws.ext[ms + pad],
+            lambda ns: _read(ws.ind, ns, pad),
+            lambda k, ms: _read(ws.prefix, ms + 1, pad) - _read(ws.prefix, ms + 1 - k, pad),
+            lambda ms: _read(ws.ext, ms, pad),
         )
     return _Oracles(
         lambda ns: indicator_many(ns, t),
@@ -122,46 +222,56 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
 
 
 def _positions(rng, samples, mode, *axes, keep=None):
-    """Index arrays over the half-open box `axes`, restricted to `keep`.
+    """Positions over the half-open box `axes`, restricted to `keep`.
 
-    Exhaustive: the whole grid, first axis slowest.  Sampled: batches of
-    max(samples, 1024) uniform tuples until `samples` of them pass `keep`,
-    giving up after 64 batches.
+    Exhaustive: one _Grid per axis over the whole box, first axis slowest,
+    each carrying keep's mask over the box as its `keep`.  Sampled: index
+    arrays, drawn in batches of max(samples, 1024) uniform tuples until
+    `samples` of them pass `keep`, giving up after 64 batches.
     """
+    if mode == "exhaustive":
+        shape = tuple(hi - lo for lo, hi in axes)
+        cols = [
+            _Grid(lo, tuple(int(d == axis) for d in range(len(axes))), shape)
+            for axis, (lo, _) in enumerate(axes)
+        ]
+        if keep is not None:
+            mask = keep(*cols)
+            for col in cols:
+                col.keep = mask
+        return cols
 
     def batch():
-        if mode == "exhaustive":
-            grid = np.indices([hi - lo for lo, hi in axes]).reshape(len(axes), -1)
-            grid += np.array([lo for lo, _ in axes])[:, None]  # in place: one grid
-            cols = list(grid)
-        else:
-            size = max(samples, 1024)
-            cols = [rng.integers(lo, hi, size=size, dtype=np.int64) for lo, hi in axes]
+        size = max(samples, 1024)
+        cols = [rng.integers(lo, hi, size=size, dtype=np.int64) for lo, hi in axes]
         if keep is None:
             return cols
         mask = keep(*cols)
         return [col[mask] for col in cols]
 
-    if mode == "exhaustive":
-        return batch()
     parts = [batch()]
     while sum(len(part[0]) for part in parts) < samples and len(parts) < 64:
         parts.append(batch())
     return [np.concatenate(col)[:samples] for col in zip(*parts)]
 
 
-def _verdict(bad: np.ndarray, checked: int, **witness) -> tuple:
-    """(passed, checked, witness).  The witness reads each array field at
-    the first bad index, a tuple of arrays as a list, other values as given."""
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
+def _verdict(bad: np.ndarray, pos, **witness) -> tuple:
+    """(passed, checked, witness) over pos, one column from _positions:
+    checked counts its positions, or those its grid keeps.  The witness
+    reads each field at the first bad kept index in walk order, a tuple of
+    arrays as a list, other values as given."""
+    if getattr(pos, "keep", None) is None:
+        checked = pos.size
+    else:
+        bad, checked = bad & pos.keep, int(np.count_nonzero(pos.keep))
+    if not bad.any():
         return True, checked, None
-    i = int(idx[0])
+    i = int(bad.argmax())  # flat in walk order, whatever the layout of bad
 
     def at(v):
-        if isinstance(v, np.ndarray):
-            return int(v[i])
-        return [int(x[i]) for x in v] if isinstance(v, tuple) else v
+        if isinstance(v, tuple):
+            return [at(x) for x in v]
+        return int(np.asarray(v).flat[i]) if isinstance(v, (np.ndarray, _Grid)) else v
 
     return False, checked, {key: at(v) for key, v in witness.items()}
 
@@ -207,7 +317,7 @@ def _check_second_difference(t, pair, ind, pos):
     (ns,) = pos((0, t.product))
     a, b = pair
     d = ind(ns).astype(np.int8) - ind(ns - a) - ind(ns - b) + ind(ns - a - b)
-    return _verdict(np.abs(d) > 1, len(ns), n=ns, pair=[a, b], value=d)
+    return _verdict(np.abs(d) > 1, ns, n=ns, pair=[a, b], value=d)
 
 
 @_per_case(Triple.as_tuple)
@@ -217,7 +327,7 @@ def _check_indicator_period(t, pivot, ind, pos):
     here = ind(ns)
     excluded = (ns % pivot == 0) & (here == 1)
     bad = ~excluded & (here != ind(ns - t.product // pivot))
-    return _verdict(bad, len(ns), n=ns, pivot=pivot)
+    return _verdict(bad, ns, n=ns, pivot=pivot)
 
 
 @_per_case(Triple.as_tuple)
@@ -229,7 +339,7 @@ def _check_multiple_period(t, pivot, ind, pos):
         keep=lambda ks, js: ks * pivot + js * shift < t.product,
     )
     bad = ind(ks * pivot + js * shift) != ind(ks * pivot)
-    return _verdict(bad, len(ks), k=ks, j=js, pivot=pivot)
+    return _verdict(bad, ks, k=ks, j=js, pivot=pivot)
 
 
 @_per_case(Triple.as_tuple)
@@ -237,7 +347,7 @@ def _check_below_multiple(t, pivot, ind, pos):
     """ind(k*pivot - j*shift) = 0 for j >= 1, |k| < shift."""
     shift = t.product // pivot
     ks, js = pos((-shift + 1, shift), (1, pivot))
-    return _verdict(ind(ks * pivot - js * shift) != 0, len(ks), k=ks, j=js, pivot=pivot)
+    return _verdict(ind(ks * pivot - js * shift) != 0, ks, k=ks, j=js, pivot=pivot)
 
 
 @_per_case(Triple.as_tuple)
@@ -246,7 +356,7 @@ def _check_threshold_agreement(t, pivot, ind, pos):
     (ns,) = pos((0, t.product))
     reps = semigroup_representative(ns, t, pivot)
     bad = (reps <= ns // pivot) != (ind(ns) == 1)
-    return _verdict(bad, len(ns), n=ns, pivot=pivot, rep=reps)
+    return _verdict(bad, ns, n=ns, pivot=pivot, rep=reps)
 
 
 def _check_representative_residue(t, ws, rng, samples, mode):
@@ -259,7 +369,7 @@ def _check_representative_residue(t, ws, rng, samples, mode):
     (ns,) = _positions(rng, samples, mode, span)
     rep_c = semigroup_representative(ns % pq, Triple(p, q, s), s)
     bad = semigroup_representative(ns, t, r) != rep_c
-    return _verdict(bad, len(ns), n=ns, s=s)
+    return _verdict(bad, ns, n=ns, s=s)
 
 
 def _check_coeff_shift(t, ws, rng, samples, mode):
@@ -272,13 +382,13 @@ def _check_coeff_shift(t, ws, rng, samples, mode):
     p, q, r = t.p, t.q, t.r
     o = _oracles(ws, mode)
     (ms,) = _positions(rng, samples, mode, (0, t.product))
-    hit = np.zeros(len(ms), dtype=bool)
+    hit = np.zeros(ms.size, dtype=bool)
     for anchor in (ms, ms - q):
         for c in range((p - 1) // r + 1):
             n = anchor // r * r - c * r
             hit |= (n > anchor - p) & ((o.ind(n) | o.ind(n - r)) == 1)
     a, a_shift = o.coeff(ms), o.coeff(ms - p * q)
-    return _verdict(~hit & (a != a_shift), len(ms), m=ms, a=a, a_shift=a_shift)
+    return _verdict(~hit & (a != a_shift), ms, m=ms, a=a, a_shift=a_shift)
 
 
 # -- offset-form checks (third element = p*q + s) ----------------------------
@@ -291,7 +401,7 @@ def _check_window_split(t, ws, rng, samples, mode):
     b1 = window_sum(o.sigma, s, ms, t.p, t.q)
     b2 = window_sum(o.sigma, t.p, ms - s, t.p * t.q, t.q)
     a = o.coeff(ms)
-    return _verdict(a != b1 + b2, len(ms), m=ms, a=a, blocks=(b1, b2))
+    return _verdict(a != b1 + b2, ms, m=ms, a=a, blocks=(b1, b2))
 
 
 def _check_window_split_eval(t, ws, rng, samples, mode):
@@ -307,7 +417,7 @@ def _check_window_split_eval(t, ws, rng, samples, mode):
     corr = np.where(in_near, vals, np.where(in_far, -vals, 0))
     b1 = window_sum(o.sigma, s, ms, t.p, t.q)
     a = o.coeff(ms)
-    return _verdict(a != b1 + corr, len(ms), m=ms, a=a, block=b1, corr=corr)
+    return _verdict(a != b1 + corr, ms, m=ms, a=a, block=b1, corr=corr)
 
 
 def _check_companion_transfer(t, ws, rng, samples, mode):
@@ -315,7 +425,7 @@ def _check_companion_transfer(t, ws, rng, samples, mode):
     s, pq = _offset(t), t.p * t.q
     ind, ind_c = _oracles(ws, mode).ind, _oracles(ws.companion, mode).ind
     ks, js = _positions(rng, samples, mode, (-pq + 1, pq), (-s + 1, s))
-    return _verdict(ind(ks * t.r + js) != ind_c(ks * s + js), len(ks), k=ks, j=js)
+    return _verdict(ind(ks * t.r + js) != ind_c(ks * s + js), ks, k=ks, j=js)
 
 
 def _check_offset_period(t, ws, rng, samples, mode):
@@ -329,7 +439,7 @@ def _check_offset_period(t, ws, rng, samples, mode):
     )
     ind = _oracles(ws, mode).ind
     bad = ind(ks * r + js + bs * pq) != ind(ks * r + js)
-    return _verdict(bad, len(ks), k=ks, j=js, beta=bs)
+    return _verdict(bad, ks, k=ks, j=js, beta=bs)
 
 
 def _check_companion_window(t, ws, rng, samples, mode):
@@ -344,7 +454,7 @@ def _check_companion_window(t, ws, rng, samples, mode):
     mid = oc.sigma(s, ks * s + gs) - oc.ind(ks * s)
     rhs = oc.sigma(s, ks * s + gs - pq)
     bad = (lhs != mid) | (mid != rhs)
-    return _verdict(bad, len(ks), k=ks, gamma=gs, beta=bs, sums=(lhs, mid, rhs))
+    return _verdict(bad, ks, k=ks, gamma=gs, beta=bs, sums=(lhs, mid, rhs))
 
 
 GENERIC_CHECKS: dict[str, object] = {
@@ -391,10 +501,14 @@ def verify_identity(
     if samples < 1:
         raise PreconditionViolated(f"samples must be at least 1, got {samples}")
     run_mode = _resolve_mode(t, mode)
-    rng = np.random.default_rng(seed)
-    passed, checked, witness = IDENTITY_CHECKS[check_id](
-        t, _workspace or _Workspace(t), rng, samples, run_mode
-    )
+    ws = _workspace or _Workspace(t)
+    # exhaustive tables grow with the product, which no engine cap bounds
+    cap = resolve_degree_cap()
+    if run_mode == "exhaustive" and ws.table_length > cap:
+        raise DegreeCapExceeded(ws.table_length, cap, what="workspace table length")
+    # exhaustive positions draw nothing, and a generator costs more than a small check
+    rng = np.random.default_rng(seed) if run_mode == "sampled" else None
+    passed, checked, witness = IDENTITY_CHECKS[check_id](t, ws, rng, samples, run_mode)
     return VerificationReport(
         check_id, t.as_tuple(), passed, run_mode, checked, witness,
         seed=seed if run_mode == "sampled" else None,

@@ -5,7 +5,13 @@ import pytest
 
 from iepoly import identities
 from iepoly.engine import coeffs_series
-from iepoly.errors import PreconditionViolated, UnknownCheck
+from iepoly.cli import main
+from iepoly.errors import (
+    DegreeCapExceeded,
+    InvariantViolated,
+    PreconditionViolated,
+    UnknownCheck,
+)
 from iepoly.identities import (
     EXHAUSTIVE_PRODUCT_LIMIT,
     GENERIC_CHECKS,
@@ -168,10 +174,49 @@ def test_positions_exhaustive_grid_in_axis_order():
     axes = ((1, 3), (-2, 1), (0, 2))
     cols = _positions(None, 0, "exhaustive", *axes, keep=keep)
     grid = list(itertools.product(*(range(lo, hi) for lo, hi in axes)))
-    assert list(zip(*(col.tolist() for col in cols))) == [x for x in grid if keep(*x)]
-    assert all(col.dtype == np.int64 for col in cols)
+    arrays = [np.asarray(col) for col in cols]
+    assert all(a.dtype == np.int64 and a.shape == (2, 3, 2) for a in arrays)
+    assert list(zip(*(a.ravel().tolist() for a in arrays))) == grid
+    for col in cols:  # one mask over the whole grid, in the same order
+        assert col.keep.ravel().tolist() == [keep(*x) for x in grid]
     (ns,) = _positions(None, 0, "exhaustive", (-4, 3))
-    assert ns.tolist() == list(range(-4, 3))
+    assert np.asarray(ns).tolist() == list(range(-4, 3)) and ns.keep is None
+
+
+def test_grid_arithmetic_matches_arrays():
+    ks, js = _positions(None, 0, "exhaustive", (-3, 4), (1, 6))
+    k, j = np.asarray(ks), np.asarray(js)
+    for grid, want in [
+        (ks * 7 + js * 5 - 2, k * 7 + j * 5 - 2),
+        (3 + ks - js * -4, 3 + k - j * -4),
+        (-2 * (ks - 9) + np.int64(1), -2 * (k - 9) + 1),
+    ]:
+        assert isinstance(grid, identities._Grid)
+        assert np.array_equal(np.asarray(grid), want)
+    # anything else acts on the materialized array
+    for got, want in [
+        (ks * 7 % 3, k * 7 % 3), ((js - 8) // 3, (j - 8) // 3),
+        (ks * 2 < js, k * 2 < j), (js != 2, j != 2), (ks + k, 2 * k),
+        (k - js, k - j), (semigroup_representative(js * 3, Triple(3, 5, 7), 7),
+                          semigroup_representative(j * 3, Triple(3, 5, 7), 7)),
+    ]:
+        assert type(got) is np.ndarray and np.array_equal(got, want)
+
+
+def test_grid_reads_are_readonly_views():
+    t = Triple(4, 5, 23)
+    ws = _Workspace(t)
+    o = _oracles(ws, "exhaustive")
+    ks, js = _positions(None, 0, "exhaustive", (-19, 20), (0, 4))
+    view = o.ind(ks * 5 + js * 23)
+    assert not view.flags.writeable and np.shares_memory(view, ws.ind)
+    with pytest.raises(ValueError):
+        view[0, 0] = 1
+    assert np.array_equal(view, indicator_many(np.asarray(ks * 5 + js * 23), t))
+    # a grid reaching past either end of a table raises instead of reading
+    for grid in (ks - ws.pad, ks * t.product):
+        with pytest.raises(InvariantViolated, match="outside a table"):
+            o.ind(grid)
 
 
 def test_positions_sampled_count_and_keep():
@@ -220,6 +265,115 @@ def test_planted_violation_is_caught():
     assert by_id["multiple-period"].witness == {"k": -15, "j": 1, "pivot": 3}
 
 
+def _walk(cid, t, ws):
+    """(passed, checked, witness) of one check, by a pure-Python walk of its
+    grid in axis order over the workspace indicators, entry by entry."""
+    pq = t.p * t.q
+    s = t.r - pq
+
+    def reader(w):
+        return lambda x: 0 if x < 0 else int(w.ind[w.pad + x])
+
+    ind, ind_c = reader(ws), reader(ws.companion) if s >= 1 else None
+
+    def sigma(f, k, m):
+        return sum(f(x) for x in range(m - k + 1, m + 1))
+
+    def pivots(steps):
+        checked = 0
+        for pivot in t.as_tuple():
+            shift = t.product // pivot
+            grid = steps(pivot, shift)
+            n, witness = walk(grid)
+            checked += n
+            if witness:
+                return False, checked, {**witness, "pivot": pivot}
+        return True, checked, None
+
+    def walk(cases):
+        n, witness = 0, None
+        for kept, bad, fields in cases:
+            if kept:
+                n += 1
+                if bad and witness is None:
+                    witness = fields
+        return n, witness
+
+    if cid == "multiple-period":
+        return pivots(lambda pivot, shift: (
+            (k * pivot + j * shift < t.product,
+             ind(k * pivot + j * shift) != ind(k * pivot), {"k": k, "j": j})
+            for k in range(-shift + 1, shift) for j in range(pivot)))
+    if cid == "below-multiple":
+        return pivots(lambda pivot, shift: (
+            (True, ind(k * pivot - j * shift) != 0, {"k": k, "j": j})
+            for k in range(-shift + 1, shift) for j in range(1, pivot)))
+    if cid == "companion-transfer":
+        cases = ((True, ind(k * t.r + j) != ind_c(k * s + j), {"k": k, "j": j})
+                 for k in range(-pq + 1, pq) for j in range(-s + 1, s))
+    elif cid == "offset-period":
+        if s == 1 or s > pq:
+            return True, 0, None
+        cases = ((b != 0 and j != 0 and k * t.r + j + b * pq < t.product,
+                  ind(k * t.r + j + b * pq) != ind(k * t.r + j), {"k": k, "j": j, "beta": b})
+                 for b in range(-(pq // s), pq // s + 1)
+                 for k in range(-pq + 1, pq) for j in range(-s + 1, s))
+    else:  # companion-window
+        def window(b, k, g):
+            x = k * t.r + g + b * pq
+            if x >= t.product:
+                return False, False, None
+            lhs = sigma(ind, s, x) - ind(k * t.r + b * pq)
+            mid = sigma(ind_c, s, k * s + g) - ind_c(k * s)
+            rhs = sigma(ind_c, s, k * s + g - pq)
+            return True, lhs != mid or mid != rhs, {
+                "k": k, "gamma": g, "beta": b, "sums": [lhs, mid, rhs]}
+
+        cases = (window(b, k, g) for b in range(-(pq // s), pq // s + 1)
+                 for k in range(-pq + 1, pq) for g in range(s))
+    n, witness = walk(cases)
+    return witness is None, n, witness
+
+
+@pytest.mark.parametrize("triple, flips", [
+    ((3, 5, 17), (0, 17, 40, 101, 171, 254)),
+    ((4, 5, 23), (1, 23, 57, 200, 333, 459)),
+])
+def test_masked_witness_matches_axis_order_walk(triple, flips):
+    # one flipped indicator entry at a time: checked and the first witness
+    # of the masked grid checks must match a plain walk of the same grid
+    t = Triple(*triple)
+    cids = ("multiple-period", "below-multiple", "companion-transfer",
+            "offset-period", "companion-window")
+    failed = set()
+    for x in flips:
+        ws = _Workspace(t)
+        ws.ind[ws.pad + x] ^= 1
+        for cid in cids:
+            rep = verify_identity(cid, t, mode="exhaustive", _workspace=ws)
+            assert (rep.passed, rep.checked, rep.witness) == _walk(cid, t, ws), (cid, x)
+            if not rep.passed:
+                failed.add(cid)
+    assert failed == set(cids)  # every check met a flip it had to report
+
+
+def test_exhaustive_tables_respect_degree_cap(monkeypatch, capsys):
+    # product 1001: each workspace table would hold about 5,000 entries
+    t = Triple(7, 11, 13)
+    ws = _Workspace(t)
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "500")
+    with pytest.raises(DegreeCapExceeded, match="workspace table length"):
+        verify_identity("second-difference", t, mode="exhaustive", _workspace=ws)
+    assert not {"ind", "prefix", "ext", "companion"} & set(vars(ws))  # nothing built
+    assert main(["verify", "second-difference", "7", "11", "13", "--mode", "exhaustive"]) == 3
+    assert "resource cap" in capsys.readouterr().err
+    # sampled mode builds no table; at the longest table's length exhaustive runs
+    assert verify_identity("second-difference", t, mode="sampled", samples=100).passed
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", str(ws.table_length))
+    assert verify_identity("second-difference", t, mode="exhaustive", _workspace=ws).passed
+    assert max(len(ws.ind), len(ws.prefix)) == ws.table_length
+
+
 def test_witness_payload_decodes():
     t = Triple(3, 5, 17)
     ws = _Workspace(t)
@@ -257,23 +411,34 @@ def test_sampled_deterministic_under_seed():
 
 
 def test_exhaustive_oracles_stay_in_pad(monkeypatch):
-    # an exhaustive oracle reads position x at table[x + pad], so a position
-    # below -pad would wrap around to the end of the table instead of raising
-    reads = []
+    # an exhaustive oracle reads position x at table[x + pad]: every read,
+    # kept or not, must lie inside the table, and every read at a position
+    # the check keeps inside [-pad, product)
+    reads, kept = [], [None]
+
+    def spy_positions(*args, **kwargs):
+        cols = _positions(*args, **kwargs)
+        kept[0] = getattr(cols[0], "keep", None)
+        return cols
 
     def spy(ws, mode):
         o = _oracles(ws, mode)
 
-        def seen(lo, hi):
-            if len(lo):
-                reads.append((ws, int(lo.min()), int(hi.max())))
+        def seen(table, lo, hi, reach=0):
+            # reads table at lo..hi + reach: sigma reads prefix at m + 1
+            lo, hi = np.asarray(lo), np.asarray(hi)
+            assert -ws.pad <= lo.min() and hi.max() + reach < len(table) - ws.pad, ws.t
+            mask = kept[0] if kept[0] is not None and kept[0].shape == lo.shape else True
+            if np.any(mask):
+                reads.append((ws, int(lo[mask].min()), int(hi[mask].max())))
 
         return identities._Oracles(
-            lambda ns: seen(ns, ns) or o.ind(ns),
-            lambda k, ms: seen(ms + 1 - k, ms) or o.sigma(k, ms),
-            lambda ms: seen(ms, ms) or o.coeff(ms),
+            lambda ns: seen(ws.ind, ns, ns) or o.ind(ns),
+            lambda k, ms: seen(ws.prefix, ms + 1 - k, ms, 1) or o.sigma(k, ms),
+            lambda ms: seen(ws.ext, ms, ms) or o.coeff(ms),
         )
 
+    monkeypatch.setattr(identities, "_positions", spy_positions)
     monkeypatch.setattr(identities, "_oracles", spy)
     # every order of the golden offset triples, (3, 5, 16) with s = 1 among them
     for order in {o for triple in OFFSET_TRIPLES for o in itertools.permutations(triple)}:
