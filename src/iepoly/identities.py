@@ -132,8 +132,8 @@ class _Grid(NDArrayOperatorsMixin):
     the positions a check counts, set on the grids _positions returns.
     """
 
-    def __init__(self, base: int, strides: tuple, shape: tuple, keep=None):
-        self.base, self.strides, self.shape, self.keep = base, strides, shape, keep
+    def __init__(self, base: int, strides: tuple, shape: tuple):
+        self.base, self.strides, self.shape, self.keep = base, strides, shape, None
 
     @property
     def size(self) -> int:
@@ -143,21 +143,21 @@ class _Grid(NDArrayOperatorsMixin):
         if isinstance(other, _Grid) and other.shape == self.shape:
             strides = tuple(a + b for a, b in zip(self.strides, other.strides))
             return _Grid(self.base + other.base, strides, self.shape)
-        if isinstance(other, (int, np.integer)):
-            return _Grid(self.base + int(other), self.strides, self.shape)
+        if isinstance(other, int):
+            return _Grid(self.base + other, self.strides, self.shape)
         return super().__add__(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (_Grid, int, np.integer)):
+        if isinstance(other, (_Grid, int)):
             return self + other * -1
         return super().__sub__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer)):
-            m = int(other)
-            return _Grid(self.base * m, tuple(step * m for step in self.strides), self.shape)
+        if isinstance(other, int):
+            strides = tuple(step * other for step in self.strides)
+            return _Grid(self.base * other, strides, self.shape)
         return super().__mul__(other)
 
     __rmul__ = __mul__

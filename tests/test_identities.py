@@ -189,7 +189,7 @@ def test_grid_arithmetic_matches_arrays():
     for grid, want in [
         (ks * 7 + js * 5 - 2, k * 7 + j * 5 - 2),
         (3 + ks - js * -4, 3 + k - j * -4),
-        (-2 * (ks - 9) + np.int64(1), -2 * (k - 9) + 1),
+        (-2 * (ks - 9) + 1, -2 * (k - 9) + 1),
     ]:
         assert isinstance(grid, identities._Grid)
         assert np.array_equal(np.asarray(grid), want)
