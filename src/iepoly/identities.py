@@ -506,7 +506,7 @@ def verify_identity(
     cap = resolve_degree_cap()
     if run_mode == "exhaustive" and ws.table_length > cap:
         raise DegreeCapExceeded(ws.table_length, cap, what="workspace table length")
-    # exhaustive positions draw nothing, and a generator costs more than a small check
+    # exhaustive positions draw nothing, and a generator costs as much as a small check
     rng = np.random.default_rng(seed) if run_mode == "sampled" else None
     passed, checked, witness = IDENTITY_CHECKS[check_id](t, ws, rng, samples, run_mode)
     return VerificationReport(
