@@ -267,72 +267,69 @@ def test_planted_violation_is_caught():
 
 def _walk(cid, t, ws):
     """(passed, checked, witness) of one check, by a pure-Python walk of its
-    grid in axis order over the workspace indicators, entry by entry."""
+    grid in axis order that reads the workspace indicators entry by entry
+    and evaluates only the positions the check keeps."""
     pq = t.p * t.q
     s = t.r - pq
 
     def reader(w):
         return lambda x: 0 if x < 0 else int(w.ind[w.pad + x])
 
-    ind, ind_c = reader(ws), reader(ws.companion) if s >= 1 else None
+    ind, ind_c = reader(ws), reader(ws.companion)
 
     def sigma(f, k, m):
         return sum(f(x) for x in range(m - k + 1, m + 1))
 
-    def pivots(steps):
+    def first(cases):
+        """(checked, witness) over cases of (witness fields, bad)."""
+        checked, witness = 0, None
+        for fields, bad in cases:
+            checked += 1
+            if bad and witness is None:
+                witness = fields
+        return checked, witness
+
+    def per_pivot(cases):
         checked = 0
         for pivot in t.as_tuple():
-            shift = t.product // pivot
-            grid = steps(pivot, shift)
-            n, witness = walk(grid)
+            n, witness = first(cases(pivot, t.product // pivot))
             checked += n
             if witness:
                 return False, checked, {**witness, "pivot": pivot}
         return True, checked, None
 
-    def walk(cases):
-        n, witness = 0, None
-        for kept, bad, fields in cases:
-            if kept:
-                n += 1
-                if bad and witness is None:
-                    witness = fields
-        return n, witness
+    def companion_window(b, k, g):
+        lhs = sigma(ind, s, k * t.r + g + b * pq) - ind(k * t.r + b * pq)
+        mid = sigma(ind_c, s, k * s + g) - ind_c(k * s)
+        rhs = sigma(ind_c, s, k * s + g - pq)
+        return {"k": k, "gamma": g, "beta": b, "sums": [lhs, mid, rhs]}, not lhs == mid == rhs
 
     if cid == "multiple-period":
-        return pivots(lambda pivot, shift: (
-            (k * pivot + j * shift < t.product,
-             ind(k * pivot + j * shift) != ind(k * pivot), {"k": k, "j": j})
-            for k in range(-shift + 1, shift) for j in range(pivot)))
+        return per_pivot(lambda pivot, shift: (
+            ({"k": k, "j": j}, ind(k * pivot + j * shift) != ind(k * pivot))
+            for k in range(-shift + 1, shift) for j in range(pivot)
+            if k * pivot + j * shift < t.product))
     if cid == "below-multiple":
-        return pivots(lambda pivot, shift: (
-            (True, ind(k * pivot - j * shift) != 0, {"k": k, "j": j})
+        return per_pivot(lambda pivot, shift: (
+            ({"k": k, "j": j}, ind(k * pivot - j * shift) != 0)
             for k in range(-shift + 1, shift) for j in range(1, pivot)))
     if cid == "companion-transfer":
-        cases = ((True, ind(k * t.r + j) != ind_c(k * s + j), {"k": k, "j": j})
+        cases = (({"k": k, "j": j}, ind(k * t.r + j) != ind_c(k * s + j))
                  for k in range(-pq + 1, pq) for j in range(-s + 1, s))
     elif cid == "offset-period":
         if s == 1 or s > pq:
             return True, 0, None
-        cases = ((b != 0 and j != 0 and k * t.r + j + b * pq < t.product,
-                  ind(k * t.r + j + b * pq) != ind(k * t.r + j), {"k": k, "j": j, "beta": b})
+        cases = (({"k": k, "j": j, "beta": b}, ind(k * t.r + j + b * pq) != ind(k * t.r + j))
                  for b in range(-(pq // s), pq // s + 1)
-                 for k in range(-pq + 1, pq) for j in range(-s + 1, s))
-    else:  # companion-window
-        def window(b, k, g):
-            x = k * t.r + g + b * pq
-            if x >= t.product:
-                return False, False, None
-            lhs = sigma(ind, s, x) - ind(k * t.r + b * pq)
-            mid = sigma(ind_c, s, k * s + g) - ind_c(k * s)
-            rhs = sigma(ind_c, s, k * s + g - pq)
-            return True, lhs != mid or mid != rhs, {
-                "k": k, "gamma": g, "beta": b, "sums": [lhs, mid, rhs]}
-
-        cases = (window(b, k, g) for b in range(-(pq // s), pq // s + 1)
-                 for k in range(-pq + 1, pq) for g in range(s))
-    n, witness = walk(cases)
-    return witness is None, n, witness
+                 for k in range(-pq + 1, pq) for j in range(-s + 1, s)
+                 if b != 0 and j != 0 and k * t.r + j + b * pq < t.product)
+    else:
+        cases = (companion_window(b, k, g)
+                 for b in range(-(pq // s), pq // s + 1)
+                 for k in range(-pq + 1, pq) for g in range(s)
+                 if k * t.r + g + b * pq < t.product)
+    checked, witness = first(cases)
+    return witness is None, checked, witness
 
 
 @pytest.mark.parametrize("triple, flips", [
