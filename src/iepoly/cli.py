@@ -15,13 +15,7 @@ import numpy as np
 
 from ._version import __version__
 from . import checks, identities, serialize
-from .engine import (
-    DEGREE_CAP_ENV,
-    ENGINE_SERIES,
-    ENGINE_WINDOW,
-    coeffs_series,
-    coeffs_window,
-)
+from .engine import ENGINE_SERIES, ENGINE_WINDOW, coeffs_series, coeffs_window
 from .errors import DegreeCapExceeded, IEPolyError, PreconditionViolated
 from .height import height
 from .represent import Triple
@@ -54,9 +48,9 @@ def _cmd_coeffs(args) -> int:
     series = window = None
     if args.engine in (ENGINE_SERIES, "both"):
         mode = "half" if args.half else "full"
-        series = coeffs_series(t, mode=mode, cap=args.degree_cap)
+        series = coeffs_series(t, mode=mode)
     if args.engine in (ENGINE_WINDOW, "both"):
-        window = coeffs_window(t, cap=args.degree_cap)
+        window = coeffs_window(t)
         if args.half:
             window = window.lower_half()
     if series is not None and window is not None:
@@ -86,7 +80,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    rec = height(_triple_from(args), cap=args.degree_cap)
+    rec = height(_triple_from(args))
     if args.json:
         print(rec.to_json())
     else:
@@ -148,7 +142,7 @@ def _cmd_search(args) -> int:
         s=args.s,
         resume_from=out if args.resume else None,
     )
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     summary = sweep_heights(task, out, workers=workers)
     print(
         f"{args.kind}: {summary.total} keys -> {summary.path} "
@@ -206,15 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("q", type=int)
         sp.add_argument("r", type=int)
 
-    def add_cap(sp):
-        sp.add_argument(
-            "--degree-cap",
-            type=int,
-            default=None,
-            metavar="N",
-            help=f"largest permitted polynomial degree (default from ${DEGREE_CAP_ENV})",
-        )
-
     sp = sub.add_parser("coeffs", help="compute the coefficient vector")
     add_triple(sp)
     sp.add_argument("--engine", choices=(ENGINE_SERIES, ENGINE_WINDOW, "both"),
@@ -223,13 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit only the first half (the rest follows by symmetry)")
     sp.add_argument("--format", choices=("text", "csv", "json", "bin"), default="text")
     sp.add_argument("--out", metavar="FILE")
-    add_cap(sp)
     sp.set_defaults(func=_cmd_coeffs)
 
     sp = sub.add_parser("height", help="height and coefficient statistics")
     add_triple(sp)
     sp.add_argument("--json", action="store_true")
-    add_cap(sp)
     sp.set_defaults(func=_cmd_height)
 
     sp = sub.add_parser("verify", help="run one verification check")

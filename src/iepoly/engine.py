@@ -47,7 +47,7 @@ DEFAULT_DEGREE_CAP = 20_000_000
 DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
 
 # Entries per block of the lagged subtraction in _multiply_factor and of
-# the consecutive-run check in CoefficientVector.validate.
+# the consecutive-run check in value_run.
 _BLOCK = 1 << 16
 
 ENGINE_SERIES = "series"
@@ -58,16 +58,37 @@ def degree(t: Triple) -> int:
     return (t.p - 1) * (t.q - 1) * (t.r - 1)
 
 
-def resolve_degree_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
+def resolve_degree_cap() -> int:
+    """The one size limit: $IEPOLY_DEGREE_CAP, a non-negative integer, or
+    DEFAULT_DEGREE_CAP when unset.  Every vector and table is sized under it."""
     env = os.environ.get(DEGREE_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameters(f"{DEGREE_CAP_ENV} must be an integer, got {env!r}")
-    return DEFAULT_DEGREE_CAP
+    if env is None:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise InvalidParameters(f"{DEGREE_CAP_ENV} must be an integer, got {env!r}")
+    if cap < 0:
+        raise InvalidParameters(f"{DEGREE_CAP_ENV} must be at least 0, got {cap}")
+    return cap
+
+
+def value_run(values: np.ndarray) -> tuple[int, int, int | None]:
+    """(lo, hi, gap) of a non-empty integer array: its extremes and the
+    smallest integer between them it does not hold, None if none is missing.
+
+    n values leave a gap at or below lo + n, so only offsets up to
+    min(hi - lo, n) are marked, one block of values at a time: no
+    allocation is sized by the span.
+    """
+    lo, hi = int(values.min()), int(values.max())
+    wide = hi - lo >= len(values)
+    seen = np.zeros(min(hi - lo, len(values)) + 1, dtype=np.bool_)
+    for i in range(0, len(values), _BLOCK):
+        offsets = values[i : i + _BLOCK] - lo
+        seen[offsets[offsets < len(seen)] if wide else offsets] = True
+    gap = int(seen.argmin())
+    return lo, hi, None if seen[gap] else lo + gap
 
 
 @dataclass(eq=False)
@@ -128,15 +149,7 @@ class CoefficientVector:
         low = c[: self.degree // 2 + 1]  # a palindrome's values all lie here
         palindrome = self.half or np.array_equal(low, c[::-1][: len(low)])
         _require(palindrome, "vector must be palindromic")
-        # n entries take at most n distinct values, so a wider span is no run;
-        # checked first, it bounds the table of seen values, marked by blocks
-        lo, hi = int(low.min()), int(low.max())
-        run = "coefficient values must form a consecutive run"
-        _require(hi - lo < len(low), run)
-        seen = np.zeros(hi - lo + 1, dtype=np.bool_)
-        for i in range(0, len(low), _BLOCK):
-            seen[low[i : i + _BLOCK] - lo] = True
-        _require(seen.all(), run)
+        _require(value_run(low)[2] is None, "coefficient values must form a consecutive run")
 
 
 def _require(ok, message: str) -> None:
@@ -163,9 +176,7 @@ def _divide_factor(c: np.ndarray, b: int) -> None:
         c[lo : lo + b] += c[lo - b : min(lo, len(c) - b)]
 
 
-def coeffs_series(
-    t: Triple, mode: str = "full", cap: int | None = None
-) -> CoefficientVector:
+def coeffs_series(t: Triple, mode: str = "full") -> CoefficientVector:
     """Coefficient vector via truncated power-series arithmetic.
 
     mode "full" computes all degree+1 coefficients; "half" computes
@@ -175,7 +186,7 @@ def coeffs_series(
     if mode not in ("full", "half"):
         raise InvalidParameters(f"mode must be 'full' or 'half', got {mode!r}")
     deg = degree(t)
-    limit = resolve_degree_cap(cap)
+    limit = resolve_degree_cap()
     if deg > limit:
         raise DegreeCapExceeded(deg, limit)
     u, v, w = t.sorted()
@@ -194,7 +205,7 @@ def coeffs_series(
     )
 
 
-def coeffs_window(t: Triple, cap: int | None = None) -> CoefficientVector:
+def coeffs_window(t: Triple) -> CoefficientVector:
     """Coefficient vector via representability window counts.
 
     a_m is an alternating sum of four length-u window counts, where u is
@@ -204,7 +215,7 @@ def coeffs_window(t: Triple, cap: int | None = None) -> CoefficientVector:
     if not t.is_ternary():
         raise InvalidTriple(f"window engine needs all elements >= 3, got {t}")
     deg = degree(t)
-    limit = resolve_degree_cap(cap)
+    limit = resolve_degree_cap()
     if deg > limit:
         raise DegreeCapExceeded(deg, limit)
     u, v, w = t.sorted()

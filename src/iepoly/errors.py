@@ -26,10 +26,10 @@ class DomainExceeded(IEPolyError):
 class DegreeCapExceeded(IEPolyError):
     """Raised when a computation would allocate more coefficients than allowed."""
 
-    def __init__(self, required: int, cap: int, what: str = "degree"):
-        super().__init__(f"{what} {required} exceeds the configured cap {cap}")
+    def __init__(self, required: int, limit: int, what: str = "degree"):
+        super().__init__(f"{what} {required} exceeds the configured cap {limit}")
         self.required = required
-        self.cap = cap
+        self.cap = limit
 
 
 class InvariantViolated(IEPolyError):

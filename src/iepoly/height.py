@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
-from .engine import coeffs_series
+from .engine import coeffs_series, value_run
 from .errors import InvalidParameters, NotConsecutive
 from .represent import Triple
 
@@ -45,21 +43,16 @@ class HeightRecord:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def height(t: Triple, cap: int | None = None) -> HeightRecord:
+def height(t: Triple) -> HeightRecord:
     """Full coefficient statistics for one triple.
 
     The half vector suffices: mirror symmetry makes its value set equal to
     the full one.  Raises NotConsecutive if the observed coefficient values
     skip an integer between the extremes, which no valid input should do.
     """
-    coeffs = coeffs_series(t, mode="half", cap=cap).coeffs
-    a_minus = int(coeffs.min())
-    a_plus = int(coeffs.max())
-    coeffs -= a_minus  # the vector is ours alone: shift it in place
-    counts = np.bincount(coeffs, minlength=a_plus - a_minus + 1)
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise NotConsecutive(t, int(missing[0]) + a_minus, a_minus, a_plus)
+    a_minus, a_plus, gap = value_run(coeffs_series(t, mode="half").coeffs)
+    if gap is not None:
+        raise NotConsecutive(t, gap, a_minus, a_plus)
     literal = max(abs(a_minus), abs(a_plus))
     smallest = min(t.as_tuple())
     conventional = smallest - 1 if smallest < 3 else literal

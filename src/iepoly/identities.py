@@ -45,10 +45,6 @@ from .represent import (
 # Auto mode exhausts the full domain up to this product and samples beyond.
 EXHAUSTIVE_PRODUCT_LIMIT = 100_000
 
-# Largest degree for which sampled checks pull single coefficients out of a
-# materialized series vector; beyond it they fall back to window sums.
-_SERIES_SAMPLING_LIMIT = 4_000_000
-
 
 class _Workspace:
     """Tables behind the exhaustive oracles for one triple, the series
@@ -204,7 +200,7 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
     views for affine grids and a gather otherwise (_read); sigma is the
     difference of two prefix reads.  Sampled: evaluated directly, with
     coefficients from the workspace's series vector, which one bundle
-    computes once, or beyond _SERIES_SAMPLING_LIMIT from coefficient_at."""
+    computes once, up to the degree cap, and past it from coefficient_at."""
     t, pad = ws.t, ws.pad
     if mode == "exhaustive":
         return _Oracles(
@@ -216,7 +212,7 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
         lambda ns: indicator_many(ns, t),
         lambda k, ms: window_count(k, ms, t),
         # a lambda, so the series vector is built on the first call, not here
-        partial(coefficient_at, t) if degree(t) > _SERIES_SAMPLING_LIMIT
+        partial(coefficient_at, t) if degree(t) > resolve_degree_cap()
         else lambda ms: ws.series.coefficient(ms),
     )
 

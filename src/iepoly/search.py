@@ -216,6 +216,8 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
     not recomputed; a trailing partial line is truncated away.  The final
     file is byte-identical to an uninterrupted single-worker run.
     """
+    if workers < 1:
+        raise InvalidParameters(f"workers must be at least 1, got {workers}")
     if task.resume_from not in (None, out):
         raise InvalidParameters(f"a sweep resumes its own output {out}, not {task.resume_from}")
     keys, record, _ = _task_items(task)

@@ -65,10 +65,23 @@ def test_coeffs_bin_roundtrip(tmp_path, capsys):
     assert vec.degree == 48 and vec.coeffs[0] == 1
 
 
-def test_degree_cap_exit_code(capsys):
-    code, _, err = run(capsys, "coeffs", "101", "103", "997", "--degree-cap", "1000")
+def test_degree_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "1000")
+    code, _, err = run(capsys, "coeffs", "101", "103", "997")
     assert code == 3
     assert "resource cap" in err
+    # the environment variable is the only way to set the cap
+    code, _, err = run(capsys, "coeffs", "3", "5", "7", "--degree-cap", "1000")
+    assert code == 2 and "--degree-cap" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_search_refuses_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "s.jsonl"
+    code, _, err = run(capsys, "search", "height-sweep", "3:4", "5:6", "7:9",
+                       "--out", str(out), "--workers", workers)
+    assert code == 2 and "workers must be at least 1" in err
+    assert not out.exists()
 
 
 def test_verify_identity_pass(capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import iepoly
 from iepoly import engine, represent
@@ -174,22 +174,34 @@ def test_validate_survives_optimize_flag():
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
-def test_degree_cap():
-    with pytest.raises(DegreeCapExceeded) as err:
-        coeffs_series(Triple(101, 103, 997), cap=1000)
-    assert err.value.required > err.value.cap == 1000
-    with pytest.raises(DegreeCapExceeded):
-        coeffs_window(Triple(101, 103, 997), cap=1000)
+def test_degree_cap(monkeypatch):
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "1000")
+    for engine_fn in (coeffs_series, coeffs_window):
+        with pytest.raises(DegreeCapExceeded) as err:
+            engine_fn(Triple(101, 103, 997))
+        assert err.value.required > err.value.cap == 1000
 
 
 def test_degree_cap_env(monkeypatch):
     monkeypatch.setenv("IEPOLY_DEGREE_CAP", "50")
-    assert resolve_degree_cap(None) == 50
+    assert resolve_degree_cap() == 50
     with pytest.raises(DegreeCapExceeded):
         coeffs_series(Triple(3, 5, 17))
-    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "not-a-number")
-    with pytest.raises(InvalidParameters):
-        resolve_degree_cap(None)
+    for bad in ("not-a-number", "-5"):
+        monkeypatch.setenv("IEPOLY_DEGREE_CAP", bad)
+        with pytest.raises(InvalidParameters):
+            resolve_degree_cap()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 6) | st.integers(-(2**40), 2**40), min_size=1, max_size=30))
+@example([0] * engine._BLOCK + [2])  # the gap shows only in the second block
+def test_value_run_matches_set_difference(vals):
+    lo, hi = min(vals), max(vals)
+    # the smallest integer missing above lo is one past some value held
+    first_missing = min({v + 1 for v in vals} - set(vals))
+    want = (lo, hi, first_missing if first_missing <= hi else None)
+    assert engine.value_run(np.array(vals, dtype=np.int64)) == want
 
 
 @settings(max_examples=30, deadline=None)

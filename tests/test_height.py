@@ -77,7 +77,7 @@ def test_gap_detection(monkeypatch):
     class FakeHalf:
         coeffs = np.array([-2, 0, -2, 0], dtype=np.int64)  # -1 missing between -2..0
 
-    monkeypatch.setattr(height_mod, "coeffs_series", lambda t, mode, cap: FakeHalf())
+    monkeypatch.setattr(height_mod, "coeffs_series", lambda t, mode: FakeHalf())
     with pytest.raises(NotConsecutive) as err:
         height(Triple(3, 5, 7))
     assert err.value.missing == -1

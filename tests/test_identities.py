@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iepoly import identities
-from iepoly.engine import coeffs_series
+from iepoly.engine import coeffs_series, degree
 from iepoly.cli import main
 from iepoly.errors import (
     DegreeCapExceeded,
@@ -369,6 +369,30 @@ def test_exhaustive_tables_respect_degree_cap(monkeypatch, capsys):
     monkeypatch.setenv("IEPOLY_DEGREE_CAP", str(ws.table_length))
     assert verify_identity("second-difference", t, mode="exhaustive", _workspace=ws).passed
     assert max(len(ws.ind), len(ws.prefix)) == ws.table_length
+
+
+def test_sampled_coefficients_read_series_up_to_degree_cap(monkeypatch):
+    # degree 4,530,240: the bundle builds one series vector under the
+    # default cap, none under a cap below the degree, with the same reports
+    t = Triple(41, 53, 2179)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return coeffs_series(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "coeffs_series", counted)
+
+    def report_lines():
+        reps = verify_identity_bundle(t, samples=500, seed=7, mode="sampled")
+        return [rep.to_json() for rep in reps]
+
+    with_series = report_lines()
+    assert len(builds) == 1
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", str(degree(t) - 1))
+    builds.clear()
+    assert report_lines() == with_series
+    assert builds == []
 
 
 def test_witness_payload_decodes():

@@ -92,6 +92,13 @@ def test_rerun_and_workers_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_sweep_refuses_workers_below_one(tmp_path):
+    out = tmp_path / "s.jsonl"
+    with pytest.raises(InvalidParameters, match="workers must be at least 1"):
+        sweep_heights(SearchTask("height-sweep", RANGES), str(out), workers=0)
+    assert not out.exists()
+
+
 def test_resume_after_partial_line(tmp_path):
     task = SearchTask("height-sweep", RANGES)
     ref = str(tmp_path / "ref.jsonl")

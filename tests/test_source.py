@@ -8,6 +8,10 @@ Strided views alias tables that one identity bundle shares across all its
 checks, so a write through any view would corrupt every later check: each
 `as_strided` call passes `writeable=False`, and each `ndarray` built over a
 buffer gets that buffer as a `.toreadonly()` memoryview.
+
+Every size decision rests on one setting, the degree cap: the environment
+is read only inside `engine.resolve_degree_cap`, and no function takes a
+`cap` parameter that could set the limit another way.
 """
 
 import ast
@@ -76,3 +80,62 @@ def test_strided_views_are_readonly():
                 writable.append(f"{path.relative_to(PACKAGE)}:{line}")
     assert views >= 1  # the exhaustive oracles build their views here
     assert writable == []
+
+
+def _setting_breaches(tree, module: str):
+    """(line, what) for each environment read outside
+    engine.resolve_degree_cap and each function parameter named cap."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            found.extend((node.lineno, "cap parameter") for x in params if x.arg == "cap")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if where != "engine.resolve_degree_cap":
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append((node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend((node.lineno, x.name) for x in node.names
+                             if x.name in ("environ", "getenv"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_settings_guard_tells_one_setting_from_others():
+    ok = """
+import os
+def resolve_degree_cap():
+    return os.environ.get("IEPOLY_DEGREE_CAP")
+"""
+    assert _setting_breaches(ast.parse(ok), "engine") == []
+    assert _setting_breaches(ast.parse(ok), "height") == [(4, "environ")]
+    bad = """
+import os
+from os import getenv
+def height(t, cap=None):
+    return os.getenv("X")
+class Engine:
+    def resolve_degree_cap(self, *, cap):
+        return os.environ["X"]
+limit = lambda cap: cap
+"""
+    assert _setting_breaches(ast.parse(bad), "engine") == [
+        (3, "getenv"), (4, "cap parameter"), (5, "getenv"),
+        (7, "cap parameter"), (8, "environ"), (9, "cap parameter"),
+    ]
+
+
+def test_degree_cap_is_the_one_setting():
+    breaches = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        breaches += [f"{path.relative_to(PACKAGE)}:{line} {what}"
+                     for line, what in _setting_breaches(tree, module)]
+    assert breaches == []
