@@ -6,10 +6,10 @@ of representable integers in (m-k, m] and the coefficient coeff(ms), each 0
 at negative positions.  The mode chooses only the positions and the
 oracles; both draw through _positions.  Exhaustive mode walks the full
 index domain (feasible when p*q*r is small) as affine grids (_Grid), which
-the checks shift and scale; its oracles read a grid as a read-only strided
-view of a padded table in a shared workspace, and other positions with a
-gather from the same table.  Sampled mode draws seeded uniform positions
-and evaluates directly.  Checks about the offset form r = p*q + s derive s
+the oracles read as read-only strided views of padded tables in a shared
+workspace; where a check needs n // m or n % m, it walks n = i*m + j over
+the axes (i, j).  Sampled mode draws seeded uniform positions and
+evaluates directly.  Checks about the offset form r = p*q + s derive s
 from the stored triple order and use the companion triple {p, q, s} where
 the identity calls for it; representative-residue uses {p, q, r mod p*q}.
 
@@ -25,7 +25,6 @@ from itertools import combinations
 from math import prod
 
 import numpy as np
-from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .engine import (
     CoefficientVector, coefficient_at, coeffs_series, degree, resolve_degree_cap,
@@ -117,19 +116,22 @@ class _Workspace:
         return _Workspace(Triple(self.t.p, self.t.q, _offset(self.t)))
 
 
-class _Grid(NDArrayOperatorsMixin):
+class _Grid:
     """Affine positions base + strides . i over the index box `shape`,
     walked first axis slowest: how exhaustive mode draws its positions.
 
     Adding or subtracting an int or a grid of the same shape, and
-    multiplying by an int, give a grid again; every other operation (%,
-    //, comparisons, semigroup_representative) acts on the int64 array the
-    grid materializes through __array__.  keep is the mask over the box of
-    the positions a check counts, set on the grids _positions returns.
+    multiplying by an int, give a grid again; an oracle reads it (_read),
+    and nothing else is defined: %, //, ordering comparisons and ndarray
+    operands raise TypeError.  The columns _positions returns carry keep,
+    the mask over the box of the positions a check counts, and axis (_axis).
     """
 
+    __array_ufunc__ = None
+
     def __init__(self, base: int, strides: tuple, shape: tuple):
-        self.base, self.strides, self.shape, self.keep = base, strides, shape, None
+        self.base, self.strides, self.shape = base, strides, shape
+        self.keep = self.axis = None
 
     @property
     def size(self) -> int:
@@ -141,44 +143,35 @@ class _Grid(NDArrayOperatorsMixin):
             return _Grid(self.base + other.base, strides, self.shape)
         if isinstance(other, int):
             return _Grid(self.base + other, self.strides, self.shape)
-        return super().__add__(other)
-
-    __radd__ = __add__
+        return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, (_Grid, int)):
             return self + other * -1
-        return super().__sub__(other)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, int):
             strides = tuple(step * other for step in self.strides)
             return _Grid(self.base * other, strides, self.shape)
-        return super().__mul__(other)
+        return NotImplemented
 
-    __rmul__ = __mul__
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.asarray(self.base, dtype=np.int64)
-        for step, n in zip(self.strides, self.shape):
-            # arange with a step: multiplying by it would take another pass
-            axis = np.arange(0, step * n, step, dtype=np.int64) if step else np.zeros(n, np.int64)
-            out = np.add.outer(out, axis)
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        arrays = [np.asarray(x) if isinstance(x, _Grid) else x for x in inputs]
-        return getattr(ufunc, method)(*arrays, **kwargs)
+    def at(self, i: int) -> int:
+        return self.base + int(np.dot(self.strides, np.unravel_index(i, self.shape)))
 
 
-def _read(table: np.ndarray, xs, pad: int) -> np.ndarray:
-    """table[xs + pad]: a strided view of table when xs is a _Grid, a
-    gather otherwise.  The view is read-only, since every check of a bundle
-    reads the same table, and numpy checks its extent against the table.
-    It is built by the ndarray constructor, not as_strided, which costs
-    several times as much per view and checks no bounds."""
-    if not isinstance(xs, _Grid):
-        return table[xs + pad]
+def _axis(col):
+    """A column's values: its grid's 1-D arange, shaped to broadcast over the
+    box, or the sampled array itself."""
+    return col.axis if isinstance(col, _Grid) else col
+
+
+def _read(table: np.ndarray, xs: _Grid, pad: int) -> np.ndarray:
+    """table[xs + pad] as a strided view of table.  The view is read-only,
+    since every check of a bundle reads the same table, and numpy checks its
+    extent against the table.  It is built by the ndarray constructor, not
+    as_strided, which costs several times as much per view and checks no
+    bounds."""
     step = table.itemsize
     try:
         return np.ndarray(
@@ -196,11 +189,11 @@ _Oracles = namedtuple("_Oracles", "ind sigma coeff")
 
 
 def _oracles(ws: _Workspace, mode: str) -> _Oracles:
-    """Oracles of ws.t.  Exhaustive: reads of the padded workspace tables,
-    views for affine grids and a gather otherwise (_read); sigma is the
-    difference of two prefix reads.  Sampled: evaluated directly, with
-    coefficients from the workspace's series vector, which one bundle
-    computes once, up to the degree cap, and past it from coefficient_at."""
+    """Oracles of ws.t.  Exhaustive: they take grids only, each read as a
+    view of a padded workspace table (_read); sigma is the difference of
+    two prefix views.  Sampled: evaluated directly, with coefficients from
+    the workspace's series vector, which one bundle computes once, up to
+    the degree cap, and past it from coefficient_at."""
     t, pad = ws.t, ws.pad
     if mode == "exhaustive":
         return _Oracles(
@@ -217,22 +210,27 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
     )
 
 
-def _positions(rng, samples, mode, *axes, keep=None):
+def _positions(rng, samples, mode, *axes, keep=None, split=None):
     """Positions over the half-open box `axes`, restricted to `keep`.
 
     Exhaustive: one _Grid per axis over the whole box, first axis slowest,
-    each carrying keep's mask over the box as its `keep`.  Sampled: index
-    arrays, drawn in batches of max(samples, 1024) uniform tuples until
-    `samples` of them pass `keep`, giving up after 64 batches.
+    each carrying its values as `axis` and, as its `keep`, the mask keep
+    computes from them.  Sampled: index arrays, drawn in batches of
+    max(samples, 1024) uniform tuples until `samples` of them pass `keep`,
+    giving up after 64 batches.
+
+    split=m takes one axis [lo, hi), m dividing both ends, as i, j with
+    n = i*m + j, 0 <= j < m: exhaustive walks the box (hi//m - lo//m, m),
+    n in order, and sampled returns (n // m, n % m) of the draws of n.
     """
     if mode == "exhaustive":
-        shape = tuple(hi - lo for lo, hi in axes)
-        cols = [
-            _Grid(lo, tuple(int(d == axis) for d in range(len(axes))), shape)
-            for axis, (lo, _) in enumerate(axes)
-        ]
+        axes = [(lo // split, hi // split) for lo, hi in axes] + [(0, split)] if split else axes
+        shape, units = tuple(hi - lo for lo, hi in axes), np.identity(len(axes), dtype=int)
+        cols = [_Grid(lo, tuple(u.tolist()), shape) for u, (lo, _) in zip(units, axes)]
+        for col, u, (lo, hi) in zip(cols, units, axes):
+            col.axis = np.arange(lo, hi, dtype=np.int64).reshape(np.where(u, -1, 1))
         if keep is not None:
-            mask = keep(*cols)
+            mask = np.broadcast_to(keep(*(col.axis for col in cols)), shape)
             for col in cols:
                 col.keep = mask
         return cols
@@ -248,14 +246,15 @@ def _positions(rng, samples, mode, *axes, keep=None):
     parts = [batch()]
     while sum(len(part[0]) for part in parts) < samples and len(parts) < 64:
         parts.append(batch())
-    return [np.concatenate(col)[:samples] for col in zip(*parts)]
+    cols = [np.concatenate(col)[:samples] for col in zip(*parts)]
+    return list(np.divmod(*cols, split)) if split else cols
 
 
 def _verdict(bad: np.ndarray, pos, **witness) -> tuple:
     """(passed, checked, witness) over pos, one column from _positions:
     checked counts its positions, or those its grid keeps.  The witness
-    reads each field at the first bad kept index in walk order, a tuple of
-    arrays as a list, other values as given."""
+    reads each field at the first bad kept index in walk order, arrays
+    broadcast over the box, a tuple of them as a list, others as given."""
     if getattr(pos, "keep", None) is None:
         checked = pos.size
     else:
@@ -267,7 +266,9 @@ def _verdict(bad: np.ndarray, pos, **witness) -> tuple:
     def at(v):
         if isinstance(v, tuple):
             return [at(x) for x in v]
-        return int(np.asarray(v).flat[i]) if isinstance(v, (np.ndarray, _Grid)) else v
+        if isinstance(v, _Grid):
+            return v.at(i)
+        return int(np.broadcast_to(v, bad.shape).flat[i]) if isinstance(v, np.ndarray) else v
 
     return False, checked, {key: at(v) for key, v in witness.items()}
 
@@ -319,11 +320,13 @@ def _check_second_difference(t, pair, ind, pos):
 @_per_case(Triple.as_tuple)
 def _check_indicator_period(t, pivot, ind, pos):
     """ind(n) = ind(n - product/pivot) unless n is a representable pivot multiple."""
-    (ns,) = pos((0, t.product))
+    # n = i*pivot + j is a multiple of pivot where j = 0
+    i, j = pos((0, t.product), split=pivot)
+    ns = i * pivot + j
     here = ind(ns)
-    excluded = (ns % pivot == 0) & (here == 1)
+    excluded = (_axis(j) == 0) & (here == 1)
     bad = ~excluded & (here != ind(ns - t.product // pivot))
-    return _verdict(bad, ns, n=ns, pivot=pivot)
+    return _verdict(bad, j, n=ns, pivot=pivot)
 
 
 @_per_case(Triple.as_tuple)
@@ -332,7 +335,7 @@ def _check_multiple_period(t, pivot, ind, pos):
     shift = t.product // pivot
     ks, js = pos(
         (-shift + 1, shift), (0, pivot),
-        keep=lambda ks, js: ks * pivot + js * shift < t.product,
+        keep=lambda ks, js: js * shift < t.product - ks * pivot,
     )
     bad = ind(ks * pivot + js * shift) != ind(ks * pivot)
     return _verdict(bad, ks, k=ks, j=js, pivot=pivot)
@@ -349,10 +352,12 @@ def _check_below_multiple(t, pivot, ind, pos):
 @_per_case(Triple.as_tuple)
 def _check_threshold_agreement(t, pivot, ind, pos):
     """Representability agrees with the semigroup threshold for every pivot."""
-    (ns,) = pos((0, t.product))
-    reps = semigroup_representative(ns, t, pivot)
-    bad = (reps <= ns // pivot) != (ind(ns) == 1)
-    return _verdict(bad, ns, n=ns, pivot=pivot, rep=reps)
+    shift = t.product // pivot
+    # n = i*shift + j; rep depends on j only, and rep <= n // pivot iff rep*pivot - j <= i*shift
+    i, j = pos((0, t.product), split=shift)
+    reps = semigroup_representative(_axis(j), t, pivot)
+    bad = (reps * pivot - _axis(j) <= _axis(i) * shift) != (ind(i * shift + j) == 1)
+    return _verdict(bad, j, n=i * shift + j, pivot=pivot, rep=reps)
 
 
 def _check_representative_residue(t, ws, rng, samples, mode):
@@ -362,27 +367,30 @@ def _check_representative_residue(t, ws, rng, samples, mode):
     s = r % pq
     # exhaustive: the first period and the periods around it
     span = (-pq, 3 * pq) if mode == "exhaustive" else (0, t.product)
-    (ns,) = _positions(rng, samples, mode, span)
-    rep_c = semigroup_representative(ns % pq, Triple(p, q, s), s)
+    i, j = _positions(rng, samples, mode, span, split=pq)
+    rep_c = semigroup_representative(_axis(j), Triple(p, q, s), s)
+    ns = _axis(i) * pq + _axis(j)  # the full n: the left side takes no residue
     bad = semigroup_representative(ns, t, r) != rep_c
-    return _verdict(bad, ns, n=ns, s=s)
+    return _verdict(bad, j, n=ns, s=s)
 
 
 def _check_coeff_shift(t, ws, rng, samples, mode):
     """a_m = a_{m-pq} unless a multiple of r sits in the two escape windows.
 
-    The escape clause: a window (anchor - p, anchor] with anchor m or m - q
-    holds a multiple n of r with ind(n) or ind(n - r) set.  A window of
-    length p holds up to (p-1)//r + 1 multiples; all of them are tested.
+    The escape clause: a window (m - d - p, m - d] with d = 0 or q holds a
+    multiple n of r with ind(n) or ind(n - r) set.  With m = i*r + j, the
+    multiples are n = (i + e)*r with j - d - p < e*r <= j - d, a mask of
+    the j row per e, and every one of them is tested.
     """
     p, q, r = t.p, t.q, t.r
     o = _oracles(ws, mode)
-    (ms,) = _positions(rng, samples, mode, (0, t.product))
-    hit = np.zeros(ms.size, dtype=bool)
-    for anchor in (ms, ms - q):
-        for c in range((p - 1) // r + 1):
-            n = anchor // r * r - c * r
-            hit |= (n > anchor - p) & ((o.ind(n) | o.ind(n - r)) == 1)
+    i, j = _positions(rng, samples, mode, (0, t.product), split=r)
+    ms, hit = i * r + j, False
+    for d in (0, q):
+        for e in range((-d - p) // r + 1, (r - 1 - d) // r + 1):
+            n = (i + e) * r
+            inside = (_axis(j) - d - p < e * r) & (e * r <= _axis(j) - d)
+            hit = hit | inside & ((o.ind(n) | o.ind(n - r)) == 1)
     a, a_shift = o.coeff(ms), o.coeff(ms - p * q)
     return _verdict(~hit & (a != a_shift), ms, m=ms, a=a, a_shift=a_shift)
 
@@ -404,12 +412,12 @@ def _check_window_split_eval(t, ws, rng, samples, mode):
     """a_m equals the first window block plus a signed one-point correction:
     +-ind at the unique multiple of r near the windows."""
     s, o = _offset(t), _oracles(ws, mode)
-    (ms,) = _positions(rng, samples, mode, (0, t.product))
-    lo, hi = sorted((t.p, t.q))
-    alpha_r, x = ms // t.r * t.r, ms - s
-    in_near = (alpha_r > x - lo) & (alpha_r <= x)
-    in_far = (alpha_r > x - hi - lo) & (alpha_r <= x - hi)
-    vals = o.ind(alpha_r).astype(np.int64)
+    # m = i*r + j: the multiple is i*r, and the windows are ranges of j
+    i, j = _positions(rng, samples, mode, (0, t.product), split=t.r)
+    ms, lo, hi = i * t.r + j, *sorted((t.p, t.q))
+    in_near = (s <= _axis(j)) & (_axis(j) < s + lo)
+    in_far = (s + hi <= _axis(j)) & (_axis(j) < s + hi + lo)
+    vals = o.ind(i * t.r).astype(np.int64)
     corr = np.where(in_near, vals, np.where(in_far, -vals, 0))
     b1 = window_sum(o.sigma, s, ms, t.p, t.q)
     a = o.coeff(ms)
@@ -431,7 +439,7 @@ def _check_offset_period(t, ws, rng, samples, mode):
         return True, 0, None
     bs, ks, js = _positions(
         rng, samples, mode, (-(pq // s), pq // s + 1), (-pq + 1, pq), (-s + 1, s),
-        keep=lambda bs, ks, js: (bs != 0) & (js != 0) & (ks * r + js + bs * pq < t.product),
+        keep=lambda bs, ks, js: (bs != 0) & (js != 0) & (js < t.product - ks * r - bs * pq),
     )
     ind = _oracles(ws, mode).ind
     bad = ind(ks * r + js + bs * pq) != ind(ks * r + js)
@@ -443,7 +451,7 @@ def _check_companion_window(t, ws, rng, samples, mode):
     s, pq, r = _offset(t), t.p * t.q, t.r
     bs, ks, gs = _positions(
         rng, samples, mode, (-(pq // s), pq // s + 1), (-pq + 1, pq), (0, s),
-        keep=lambda bs, ks, gs: ks * r + gs + bs * pq < t.product,
+        keep=lambda bs, ks, gs: gs < t.product - ks * r - bs * pq,
     )
     o, oc = _oracles(ws, mode), _oracles(ws.companion, mode)
     lhs = o.sigma(s, ks * r + gs + bs * pq) - o.ind(ks * r + bs * pq)

@@ -19,8 +19,8 @@ from typing import IO
 
 import numpy as np
 
-from .engine import ENGINE_SERIES, ENGINE_WINDOW, CoefficientVector, degree
-from .errors import IEPolyError, PersistenceError
+from .engine import ENGINE_SERIES, ENGINE_WINDOW, CoefficientVector, degree, resolve_degree_cap
+from .errors import DegreeCapExceeded, IEPolyError, InvalidParameters, PersistenceError
 from .represent import Triple
 
 FORMAT_NAME = "iepoly-coeffs"
@@ -30,7 +30,6 @@ _MAGIC = b"IEPC"
 _BIN_HEADER = struct.Struct("<4sH6q8s")  # magic, version, p,q,r,degree,count,half, engine
 _CSV_COLUMNS = "index,coefficient"
 _ROW_CHUNK = 1 << 16  # rows formatted per write; bounds the writers' memory
-_READ_CHUNK = 1 << 18  # bytes per binary payload read; each is held beside the payload
 
 
 def header_dict(vec: CoefficientVector) -> dict:
@@ -71,13 +70,15 @@ def _vector(header: dict, coeffs) -> CoefficientVector:
 
 def _reader(decode):
     """A public reader from `decode(fp)`, which only decodes a header dict
-    and the coefficients: `_vector` checks them, and every failure on the
-    way becomes a PersistenceError."""
+    and the coefficients: `_vector` checks them.  The degree cap's errors
+    raise as in the engines; every other failure becomes a PersistenceError."""
 
     @wraps(decode)
     def read(fp) -> CoefficientVector:
         try:
             return _vector(*decode(fp))
+        except (DegreeCapExceeded, InvalidParameters):
+            raise
         # ValueError covers UnicodeDecodeError and json.JSONDecodeError
         except (KeyError, TypeError, ValueError, OverflowError, IEPolyError) as exc:
             raise PersistenceError(
@@ -166,14 +167,17 @@ def read_binary(fp: IO[bytes]):
     magic, version, p, q, r, deg, count, half, engine = _BIN_HEADER.unpack(raw)
     if magic != _MAGIC:
         raise ValueError(f"unrecognized binary record (magic={magic!r})")
-    # the rest of the stream, grown into one writable buffer: no allocation
-    # is sized by the header, and the payload is never held twice
-    payload = bytearray()
-    while chunk := fp.read(_READ_CHUNK):
-        payload += chunk
-    if len(payload) != 8 * count:
-        raise ValueError(f"payload of {len(payload)} bytes for {count} coefficients")
+    # the header sizes the buffer: check it before reading any payload byte
+    if deg > resolve_degree_cap():
+        raise DegreeCapExceeded(deg, resolve_degree_cap())
+    if count != CoefficientVector.stored_length(deg, half):
+        raise ValueError(f"{count} coefficients do not fit degree {deg} (half={half})")
+    payload, got = bytearray(8 * count + 1), 0  # the extra byte catches a trailing one
+    while n := fp.readinto(memoryview(payload)[got:]):
+        got += n
+    if got != 8 * count:
+        raise ValueError(f"payload of {got} bytes for {count} coefficients")
     header = dict(format=FORMAT_NAME, version=version, p=p, q=q, r=r, degree=deg)
     header["engine"] = engine.rstrip(b"\0").decode("ascii")
     header["half"] = {0: False, 1: True}.get(half, half)
-    return header, np.frombuffer(payload, dtype="<i8")
+    return header, np.frombuffer(payload, dtype="<i8", count=count)

@@ -17,7 +17,9 @@ from iepoly.identities import (
     GENERIC_CHECKS,
     IDENTITY_CHECKS,
     OFFSET_CHECKS,
+    _Grid,
     _Workspace,
+    _axis,
     _oracles,
     _positions,
     verify_identity,
@@ -31,12 +33,28 @@ from iepoly.represent import (
     window_count,
 )
 
-from helpers import brute_representative
+from helpers import brute_representative, reference_coeffs
 
 GENERIC_IDS = tuple(GENERIC_CHECKS) + ("representative-residue",)
 
 GENERIC_TRIPLES = [(3, 5, 7), (5, 7, 3), (3, 4, 5), (5, 7, 11), (7, 9, 10), (4, 9, 35)]
 OFFSET_TRIPLES = [(3, 5, 16), (3, 5, 17), (3, 7, 25), (4, 5, 23), (5, 6, 31), (5, 4, 23)]
+
+
+def _expand(grid):
+    """The positions of a grid as an int64 array over its box, built from
+    its base, strides and shape alone."""
+    strides = np.asarray(grid.strides, dtype=np.int64)
+    return grid.base + np.tensordot(strides, np.indices(grid.shape), axes=1)
+
+
+def _golden_bundles():
+    """(triple, check ids) of the golden exhaustive bundles: every order of
+    the identity test triples, with the offset checks where they apply."""
+    for order in sorted({o for triple in GENERIC_TRIPLES + OFFSET_TRIPLES
+                         for o in itertools.permutations(triple)}):
+        t = Triple(*order)
+        yield t, GENERIC_IDS + (tuple(OFFSET_CHECKS) if t.r > t.p * t.q else ())
 
 
 @pytest.mark.parametrize("triple", GENERIC_TRIPLES)
@@ -168,39 +186,65 @@ def test_samples_below_one_rejected(samples):
 
 
 def test_positions_exhaustive_grid_in_axis_order():
+    calls = []
+
     def keep(a, b, c):
+        calls.append((a, b, c))
         return a + b + c != 1
 
     axes = ((1, 3), (-2, 1), (0, 2))
     cols = _positions(None, 0, "exhaustive", *axes, keep=keep)
     grid = list(itertools.product(*(range(lo, hi) for lo, hi in axes)))
-    arrays = [np.asarray(col) for col in cols]
+    arrays = [_expand(col) for col in cols]
     assert all(a.dtype == np.int64 and a.shape == (2, 3, 2) for a in arrays)
     assert list(zip(*(a.ravel().tolist() for a in arrays))) == grid
-    for col in cols:  # one mask over the whole grid, in the same order
-        assert col.keep.ravel().tolist() == [keep(*x) for x in grid]
+    # keep runs once, on the 1-D axes, never on a grid
+    ((a, b, c),) = calls
+    assert [x.shape for x in (a, b, c)] == [(2, 1, 1), (1, 3, 1), (1, 1, 2)]
+    for col, array in zip(cols, arrays):  # one mask over the whole grid, in the same order
+        assert _axis(col) is col.axis
+        assert np.array_equal(np.broadcast_to(col.axis, array.shape), array)
+        assert col.keep.ravel().tolist() == [x + y + z != 1 for x, y, z in grid]
     (ns,) = _positions(None, 0, "exhaustive", (-4, 3))
-    assert np.asarray(ns).tolist() == list(range(-4, 3)) and ns.keep is None
+    assert _expand(ns).tolist() == list(range(-4, 3)) and ns.keep is None
+
+
+def test_positions_split_exhaustive_walks_in_order():
+    # n = i*3 + j over [-6, 9): the box (5, 3), walked first axis slowest
+    i, j = _positions(None, 0, "exhaustive", (-6, 9), split=3)
+    assert i.shape == j.shape == (5, 3) and i.keep is None
+    assert _expand(i * 3 + j).ravel().tolist() == list(range(-6, 9))
+    assert np.array_equal(_axis(i), np.arange(-2, 3).reshape(5, 1))
+    assert np.array_equal(_axis(j), np.arange(3).reshape(1, 3))
+
+
+def test_positions_split_sampled_keeps_draws():
+    # the same draws as without split, returned as quotient and residue
+    (xs,) = _positions(np.random.default_rng(9), 3000, "sampled", (0, 1155))
+    i, j = _positions(np.random.default_rng(9), 3000, "sampled", (0, 1155), split=35)
+    assert np.array_equal(i, xs // 35) and np.array_equal(j, xs % 35)
+    assert _axis(i) is i
 
 
 def test_grid_arithmetic_matches_arrays():
     ks, js = _positions(None, 0, "exhaustive", (-3, 4), (1, 6))
-    k, j = np.asarray(ks), np.asarray(js)
+    k, j = _expand(ks), _expand(js)
     for grid, want in [
         (ks * 7 + js * 5 - 2, k * 7 + j * 5 - 2),
-        (3 + ks - js * -4, 3 + k - j * -4),
-        (-2 * (ks - 9) + 1, -2 * (k - 9) + 1),
+        (ks + 3 - js * -4, 3 + k - j * -4),
+        ((ks - 9) * -2 + 1, -2 * (k - 9) + 1),
     ]:
-        assert isinstance(grid, identities._Grid)
-        assert np.array_equal(np.asarray(grid), want)
-    # anything else acts on the materialized array
-    for got, want in [
-        (ks * 7 % 3, k * 7 % 3), ((js - 8) // 3, (j - 8) // 3),
-        (ks * 2 < js, k * 2 < j), (js != 2, j != 2), (ks + k, 2 * k),
-        (k - js, k - j), (semigroup_representative(js * 3, Triple(3, 5, 7), 7),
-                          semigroup_representative(j * 3, Triple(3, 5, 7), 7)),
+        assert isinstance(grid, _Grid)
+        assert np.array_equal(_expand(grid), want)
+        assert [grid.at(i) for i in range(grid.size)] == want.ravel().tolist()
+    # a grid is only read: anything else raises instead of building an array
+    for op in [
+        lambda: ks * 7 % 3, lambda: (js - 8) // 3, lambda: ks * 2 < js, lambda: js >= 2,
+        lambda: k + js, lambda: 3 + ks, lambda: ks * k,
+        lambda: semigroup_representative(js * 3, Triple(3, 5, 7), 7),
     ]:
-        assert type(got) is np.ndarray and np.array_equal(got, want)
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_grid_reads_are_readonly_views():
@@ -212,11 +256,25 @@ def test_grid_reads_are_readonly_views():
     assert not view.flags.writeable and np.shares_memory(view, ws.ind)
     with pytest.raises(ValueError):
         view[0, 0] = 1
-    assert np.array_equal(view, indicator_many(np.asarray(ks * 5 + js * 23), t))
+    assert np.array_equal(view, indicator_many(_expand(ks * 5 + js * 23), t))
     # a grid reaching past either end of a table raises instead of reading
     for grid in (ks - ws.pad, ks * t.product):
         with pytest.raises(InvariantViolated, match="outside a table"):
             o.ind(grid)
+
+
+def test_exhaustive_oracles_read_only_grids(monkeypatch):
+    # every table read of the golden exhaustive bundles is a view of a grid
+    read, seen = identities._read, []
+
+    def spy(table, xs, pad):
+        seen.append(type(xs))
+        return read(table, xs, pad)
+
+    monkeypatch.setattr(identities, "_read", spy)
+    for t, ids in _golden_bundles():
+        verify_identity_bundle(t, ids, mode="exhaustive")
+    assert seen and set(seen) == {_Grid}
 
 
 def test_positions_sampled_count_and_keep():
@@ -268,7 +326,9 @@ def test_planted_violation_is_caught():
 def _walk(cid, t, ws):
     """(passed, checked, witness) of one check, by a pure-Python walk of its
     grid in axis order that reads the workspace indicators entry by entry
-    and evaluates only the positions the check keeps."""
+    and evaluates only the positions the check keeps.  The checks that
+    split n by a modulus are walked as plain n in [0, product), with // and
+    %, brute-force representatives and long-division coefficients."""
     pq = t.p * t.q
     s = t.r - pq
 
@@ -313,7 +373,32 @@ def _walk(cid, t, ws):
         return per_pivot(lambda pivot, shift: (
             ({"k": k, "j": j}, ind(k * pivot - j * shift) != 0)
             for k in range(-shift + 1, shift) for j in range(1, pivot)))
-    if cid == "companion-transfer":
+    if cid == "indicator-period":
+        return per_pivot(lambda pivot, shift: (
+            ({"n": n}, ind(n) != ind(n - shift) and not (n % pivot == 0 and ind(n) == 1))
+            for n in range(t.product)))
+    if cid == "threshold-agreement":
+        def threshold(pivot, n):
+            a, b = (v for v in t.as_tuple() if v != pivot)
+            rep = brute_representative(n, a, b, pivot)
+            return {"n": n, "rep": rep}, (rep <= n // pivot) != (ind(n) == 1)
+
+        return per_pivot(lambda pivot, shift: (threshold(pivot, n) for n in range(t.product)))
+    if cid == "window-split-eval":
+        ref = reference_coeffs(*t.as_tuple())
+        lo, hi = sorted((t.p, t.q))
+
+        def split_eval(m):
+            a = ref[m] if m < len(ref) else 0
+            block = sum(sign * sigma(ind, s, m - d)
+                        for sign, d in ((1, 0), (-1, t.p), (-1, t.q), (1, t.p + t.q)))
+            alpha, x = m // t.r * t.r, m - s
+            corr = (ind(alpha) if x - lo < alpha <= x
+                    else -ind(alpha) if x - hi - lo < alpha <= x - hi else 0)
+            return {"m": m, "a": a, "block": block, "corr": corr}, a != block + corr
+
+        cases = (split_eval(m) for m in range(t.product))
+    elif cid == "companion-transfer":
         cases = (({"k": k, "j": j}, ind(k * t.r + j) != ind_c(k * s + j))
                  for k in range(-pq + 1, pq) for j in range(-s + 1, s))
     elif cid == "offset-period":
@@ -335,13 +420,16 @@ def _walk(cid, t, ws):
 @pytest.mark.parametrize("triple, flips", [
     ((3, 5, 17), (0, 17, 40, 101, 171, 254)),
     ((4, 5, 23), (1, 23, 57, 200, 333, 459)),
+    ((5, 4, 23), (2, 46, 60, 199, 341, 458)),  # p > q: window-split-eval sorts them
 ])
 def test_masked_witness_matches_axis_order_walk(triple, flips):
     # one flipped indicator entry at a time: checked and the first witness
     # of the masked grid checks must match a plain walk of the same grid
     t = Triple(*triple)
     cids = ("multiple-period", "below-multiple", "companion-transfer",
-            "offset-period", "companion-window")
+            "offset-period", "companion-window",
+            # the checks that split n by a modulus, against a plain walk of n
+            "indicator-period", "threshold-agreement", "window-split-eval")
     failed = set()
     for x in flips:
         ws = _Workspace(t)
@@ -447,7 +535,8 @@ def test_exhaustive_oracles_stay_in_pad(monkeypatch):
 
         def seen(table, lo, hi, reach=0):
             # reads table at lo..hi + reach: sigma reads prefix at m + 1
-            lo, hi = np.asarray(lo), np.asarray(hi)
+            assert isinstance(lo, _Grid) and isinstance(hi, _Grid)
+            lo, hi = _expand(lo), _expand(hi)
             assert -ws.pad <= lo.min() and hi.max() + reach < len(table) - ws.pad, ws.t
             mask = kept[0] if kept[0] is not None and kept[0].shape == lo.shape else True
             if np.any(mask):
@@ -482,10 +571,11 @@ def test_padded_oracles_match_direct_evaluation(triple):
     t = Triple(*triple)
     ws = _Workspace(t)
     o = _oracles(ws, "exhaustive")
-    xs = np.arange(-ws.pad, t.product)
-    assert np.array_equal(o.ind(xs), indicator_many(xs, t))
+    (xs,) = _positions(None, 0, "exhaustive", (-ws.pad, t.product))
+    assert np.array_equal(o.ind(xs), indicator_many(_expand(xs), t))
     for k in sorted({1, t.p, t.q, t.r - t.p * t.q}):
-        ms = xs[k - 1 :]  # windows (m - k, m] inside [-pad, product)
-        assert np.array_equal(o.sigma(k, ms), window_count(k, ms, t)), k
+        # windows (m - k, m] inside [-pad, product)
+        (ms,) = _positions(None, 0, "exhaustive", (k - 1 - ws.pad, t.product))
+        assert np.array_equal(o.sigma(k, ms), window_count(k, _expand(ms), t)), k
     vec = coeffs_series(t)
-    assert o.coeff(xs).tolist() == [vec.coefficient(int(m)) for m in xs]
+    assert o.coeff(xs).tolist() == [vec.coefficient(int(m)) for m in _expand(xs)]

@@ -9,7 +9,7 @@ import pytest
 
 from iepoly import serialize
 from iepoly.engine import coeffs_series
-from iepoly.errors import PersistenceError
+from iepoly.errors import DegreeCapExceeded, InvalidParameters, PersistenceError
 from iepoly.represent import Triple
 
 
@@ -92,9 +92,9 @@ def test_binary_rejects_bad_magic():
 
 
 def test_binary_read_holds_one_payload(tmp_path):
-    # degree 2,142,000: the payload spans many read chunks; holding the read
-    # bytes and an int64 copy at once would peak at 2x the vector, and so
-    # would validate() copying the stored entries
+    # degree 2,142,000: the payload is read into one buffer of its declared
+    # size; holding the read bytes and an int64 copy at once would peak at
+    # 2x the vector, and so would validate() copying the stored entries
     vec = coeffs_series(Triple(101, 103, 211))
     path = tmp_path / "v.bin"
     with open(path, "wb") as fh:
@@ -106,7 +106,7 @@ def test_binary_read_holds_one_payload(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * vec.coeffs.nbytes
+    assert peak <= 1.1 * vec.coeffs.nbytes
     assert back.coeffs.flags.writeable and back.coeffs.dtype == np.int64
     assert np.array_equal(back.coeffs, vec.coeffs)
     raw = path.read_bytes()
@@ -135,6 +135,49 @@ def test_half_read_peaks_no_higher_than_full(tmp_path):
             tracemalloc.stop()
     assert peaks["half"] <= peaks["full"]
     assert peaks["half"] <= 1.25 * vec.coeffs.nbytes
+
+
+class _CountingStream(io.BytesIO):
+    """A binary stream that counts the bytes its readers take."""
+
+    taken = 0
+
+    def read(self, size=-1):
+        out = super().read(size)
+        self.taken += len(out)
+        return out
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.taken += n
+        return n
+
+
+def test_binary_header_checked_before_payload(monkeypatch):
+    vec = coeffs_series(Triple(3, 5, 7))
+    buf = io.BytesIO()
+    serialize.write_binary(vec, buf)
+    raw = buf.getvalue()
+    # a degree past the cap raises the engines' error, unwrapped, and no
+    # payload byte is read
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", str(vec.degree - 1))
+    stream = _CountingStream(raw)
+    with pytest.raises(DegreeCapExceeded):
+        serialize.read_binary(stream)
+    assert stream.taken == serialize._BIN_HEADER.size
+    # so does a cap setting the engines refuse: it is no malformed record
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "-5")
+    with pytest.raises(InvalidParameters):
+        serialize.read_binary(_CountingStream(raw))
+    monkeypatch.delenv("IEPOLY_DEGREE_CAP")
+    # a count that does not fit the degree is refused before the payload too
+    stream = _CountingStream(_bin_field("<4sH4q", struct.pack("<q", 7))(raw))
+    with pytest.raises(PersistenceError, match="do not fit degree"):
+        serialize.read_binary(stream)
+    assert stream.taken == serialize._BIN_HEADER.size
+    stream = _CountingStream(raw)
+    assert np.array_equal(serialize.read_binary(stream).coeffs, vec.coeffs)
+    assert stream.taken == len(raw)
 
 
 def test_csv_rejects_row_gap():
