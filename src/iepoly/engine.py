@@ -17,6 +17,12 @@ counts representable integers in four sliding windows derived from the
 decomposition; the two routes share no code beyond the triple itself,
 which is what makes their agreement a meaningful check.
 
+Window engine.  With W(j) the count of representable integers in the
+length-u window ending at j, a_m = W(m) - W(m-v) - W(m-w) + W(m-v-w), and
+W is the prefix sum of ind * (1 - z^u).  So the vector is the prefix sum of
+d = ind * (1 - z^u)(1 - z^v)(1 - z^w); each factor at most doubles max |d|,
+so d lies in [-4, 4] and fits the indicator's own bytes, read as int8.
+
 Intermediate bound.  Let the series hold n <= degree + 1 entries.  The
 written stage has |c| <= 1 (for u = 1 the degree is 0, and it writes c[0]
 = 1 alone).  x(1 - z^w) sets c[i] - c[i-w], so |c| <= 2.  /(1 - z^b) sets
@@ -41,7 +47,7 @@ from .errors import (
     InvalidTriple,
     InvariantViolated,
 )
-from .represent import Triple, indicator_range, padded_prefix, window_count, window_sum
+from .represent import Triple, indicator_range, window_count, window_sum
 
 DEFAULT_DEGREE_CAP = 20_000_000
 DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
@@ -218,23 +224,13 @@ def coeffs_window(t: Triple) -> CoefficientVector:
     limit = resolve_degree_cap()
     if deg > limit:
         raise DegreeCapExceeded(deg, limit)
-    u, v, w = t.sorted()
-    # padded[off + j] counts representable integers below j (padded_prefix);
-    # the indicator is freed once the table is built
-    off = u + v + w + 1
-    padded = padded_prefix(indicator_range(t, deg + 1), off)
-    # counts[j] is the window count of length u ending at j - off - 1 + u
-    counts = padded[u:] - padded[:-u]
-    del padded
-
-    def win(d: int) -> np.ndarray:
-        # window count of length u ending at m - d, for m = 0..deg
-        lo = off + 1 - u - d
-        return counts[lo : lo + deg + 1]
-
-    coeffs = win(0) - win(v)
-    coeffs -= win(w)
-    coeffs += win(v + w)
+    # the indicator times (1 - z^u)(1 - z^v)(1 - z^w), in place as int8;
+    # numpy reads each overlapping operand as if copied first
+    d = indicator_range(t, deg + 1).view(np.int8)
+    for k in t.sorted():
+        d[k:] -= d[:-k]
+    coeffs = d.astype(np.int64)  # summed in place: no int64 temporary
+    np.cumsum(coeffs, out=coeffs)
     return CoefficientVector(
         triple=t, degree=deg, coeffs=coeffs, engine=ENGINE_WINDOW, half=False
     )

@@ -35,7 +35,6 @@ from .represent import (
     Triple,
     indicator_many,
     indicator_range,
-    padded_prefix,
     semigroup_representative,
     window_count,
     window_sum,
@@ -96,8 +95,13 @@ class _Workspace:
 
     @cached_property
     def prefix(self) -> np.ndarray:
-        # prefix[pad + i] = number of representable n < i (padded_prefix)
-        return padded_prefix(self.ind[self.pad :], self.pad)
+        # prefix[pad + i] = number of representable n < i; the indicator is
+        # widened into the table and summed in place, with no int64 temporary
+        out = np.zeros(self.table_length, dtype=np.int64)
+        body = out[self.pad + 1 :]
+        body[:] = self.ind[self.pad :]
+        np.cumsum(body, out=body)
+        return out
 
     @cached_property
     def series(self) -> CoefficientVector:

@@ -163,20 +163,13 @@ def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
 
 
 def indicator_range(t: Triple, stop: int) -> np.ndarray:
-    """Representability indicator over [0, stop), stop <= product."""
+    """Representability indicator over [0, stop), stop <= product; built
+    one block at a time, so only the uint8 result is sized by stop."""
     if stop > t.product:
         raise DomainExceeded(f"stop={stop} exceeds product {t.product} for {t}")
-    return indicator_many(np.arange(max(stop, 0), dtype=np.int64), t)
-
-
-def padded_prefix(ind: np.ndarray, pad: int) -> np.ndarray:
-    """int64 table with out[pad + j] = ind[0] + ... + ind[j-1], behind pad
-    zeros.  ind is widened into the table and summed in place: a cumsum from
-    uint8 into int64 would allocate a full-size int64 temporary."""
-    out = np.zeros(pad + len(ind) + 1, dtype=np.int64)
-    body = out[pad + 1 :]
-    body[:] = ind
-    np.cumsum(body, out=body)
+    out = np.empty(max(stop, 0), dtype=np.uint8)
+    for lo in range(0, len(out), _BLOCK):
+        out[lo : lo + _BLOCK] = indicator_many(np.arange(lo, min(lo + _BLOCK, stop)), t)
     return out
 
 

@@ -68,6 +68,12 @@ def _vector(header: dict, coeffs) -> CoefficientVector:
     return vec
 
 
+def _refuse_past_cap(deg: int) -> None:
+    """Refuse a header degree past the cap, before any coefficient is read."""
+    if deg > (limit := resolve_degree_cap()):
+        raise DegreeCapExceeded(deg, limit)
+
+
 def _reader(decode):
     """A public reader from `decode(fp)`, which only decodes a header dict
     and the coefficients: `_vector` checks them.  The degree cap's errors
@@ -98,6 +104,7 @@ def write_json(vec: CoefficientVector, fp: IO[str]) -> None:
 @_reader
 def read_json(fp: IO[str]):
     obj = json.load(fp)
+    _refuse_past_cap(obj["degree"])
     return obj, obj["coeffs"]
 
 
@@ -132,6 +139,7 @@ def write_csv(vec: CoefficientVector, fp: IO[str]) -> None:
 @_reader
 def read_csv(fp: IO[str]):
     header = _parse_header_line(fp.readline().rstrip("\n"))
+    _refuse_past_cap(header["degree"])
     column_line = fp.readline().rstrip("\n")
     if column_line != _CSV_COLUMNS:
         raise ValueError(f"unexpected CSV column header {column_line!r}")
@@ -156,7 +164,7 @@ def write_binary(vec: CoefficientVector, fp: IO[bytes]) -> None:
     engine = vec.engine.encode("ascii")[:8].ljust(8, b"\0")
     fields = (*vec.triple.as_tuple(), vec.degree, len(vec.coeffs), int(vec.half), engine)
     fp.write(_BIN_HEADER.pack(_MAGIC, FORMAT_VERSION, *fields))
-    fp.write(np.ascontiguousarray(vec.coeffs, dtype="<i8").tobytes())
+    fp.write(memoryview(np.ascontiguousarray(vec.coeffs, dtype="<i8")).cast("B"))  # no copy
 
 
 @_reader
@@ -167,9 +175,7 @@ def read_binary(fp: IO[bytes]):
     magic, version, p, q, r, deg, count, half, engine = _BIN_HEADER.unpack(raw)
     if magic != _MAGIC:
         raise ValueError(f"unrecognized binary record (magic={magic!r})")
-    # the header sizes the buffer: check it before reading any payload byte
-    if deg > resolve_degree_cap():
-        raise DegreeCapExceeded(deg, resolve_degree_cap())
+    _refuse_past_cap(deg)  # the header sizes the buffer
     if count != CoefficientVector.stored_length(deg, half):
         raise ValueError(f"{count} coefficients do not fit degree {deg} (half={half})")
     payload, got = bytearray(8 * count + 1), 0  # the extra byte catches a trailing one

@@ -315,7 +315,7 @@ def _peak_ratio(build):
     [
         (lambda t: coeffs_series(t), 1.25),
         (lambda t: coeffs_series(t, mode="half"), 1.25),
-        (lambda t: coeffs_window(t), 2.5),
+        (lambda t: coeffs_window(t), 1.25),
     ],
     ids=["series-full", "series-half", "window"],
 )

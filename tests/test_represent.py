@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -144,6 +145,23 @@ def test_indicator_many_scalar():
 def test_indicator_range_equals_many():
     t = Triple(3, 5, 17)
     assert np.array_equal(indicator_range(t, 255), indicator_many(np.arange(255), t))
+
+
+def test_indicator_range_holds_blocks_beside_its_result():
+    # the indicator is filled one block at a time: what it holds beside its
+    # uint8 result is a few int64 blocks, the same at every stop
+    t = Triple(101, 103, 997)
+    indicator_range(t, 10)  # the residue tables are cached from here on
+    excess = []
+    for stop in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            out = indicator_range(t, stop)
+            excess.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(excess[1] - excess[0]) < 1 << 16
+    assert max(excess) <= 8 * 8 * represent._BLOCK
 
 
 def test_indicator_domain():

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import pathlib
 import struct
 import tracemalloc
@@ -178,6 +179,56 @@ def test_binary_header_checked_before_payload(monkeypatch):
     stream = _CountingStream(raw)
     assert np.array_equal(serialize.read_binary(stream).coeffs, vec.coeffs)
     assert stream.taken == len(raw)
+
+
+def test_text_readers_consult_the_cap(monkeypatch):
+    vec = coeffs_series(Triple(3, 5, 7))  # degree 48
+    csv, js = io.StringIO(), io.StringIO()
+    serialize.write_csv(vec, csv)
+    serialize.write_json(vec, js)
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "10")
+    # CSV: refused after the header line, with the column line and every
+    # row left unread in the stream
+    text = csv.getvalue()
+    stream = io.StringIO(text)
+    with pytest.raises(DegreeCapExceeded):
+        serialize.read_csv(stream)
+    assert stream.read() == text.split("\n", 1)[1]
+    # JSON: refused before the coefficients are converted, so a payload
+    # that would fail conversion is never reached
+    obj = serialize.header_dict(vec)
+    for coeffs in (vec.coeffs.tolist(), "not a list"):
+        with pytest.raises(DegreeCapExceeded):
+            serialize.read_json(io.StringIO(json.dumps({**obj, "coeffs": coeffs})))
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", str(vec.degree))
+    for reader, buf in ((serialize.read_csv, csv), (serialize.read_json, js)):
+        assert np.array_equal(reader(io.StringIO(buf.getvalue())).coeffs, vec.coeffs)
+
+
+class _Discard(io.RawIOBase):
+    """A raw binary sink that keeps nothing it is given."""
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        return memoryview(b).nbytes
+
+
+def test_binary_write_copies_no_payload():
+    # the coefficients go out as a byte view of the vector, not as a copy
+    vec = coeffs_series(Triple(101, 103, 211))
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        serialize.write_binary(vec, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * vec.coeffs.nbytes
+    buf = io.BytesIO()
+    serialize.write_binary(vec, buf)
+    assert len(buf.getvalue()) == serialize._BIN_HEADER.size + vec.coeffs.nbytes
 
 
 def test_csv_rejects_row_gap():

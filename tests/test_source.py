@@ -12,6 +12,10 @@ buffer gets that buffer as a `.toreadonly()` memoryview.
 Every size decision rests on one setting, the degree cap: the environment
 is read only inside `engine.resolve_degree_cap`, and no function takes a
 `cap` parameter that could set the limit another way.
+
+The two coefficient engines check each other only while they share no
+code: past the degree, its cap and the vector they return, the names that
+`coeffs_series` and `coeffs_window` reach in `engine.py` are disjoint.
 """
 
 import ast
@@ -139,3 +143,69 @@ def test_degree_cap_is_the_one_setting():
         breaches += [f"{path.relative_to(PACKAGE)}:{line} {what}"
                      for line, what in _setting_breaches(tree, module)]
     assert breaches == []
+
+
+ENGINE_SHARED = {"degree", "resolve_degree_cap", "CoefficientVector", "DegreeCapExceeded"}
+
+
+def _reached(tree, root: str) -> set:
+    """Module names that the top-level function root reaches in tree: the
+    names its body reads and, through each module-level function among
+    them, that function's body in turn, stopping at ENGINE_SHARED.  Plain
+    `import`s (numpy, os) are not package code; signatures are not read."""
+    defs = {n.name: n for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    names = set(defs)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+
+    def used(fn):
+        return {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and n.id in names}
+
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name not in ENGINE_SHARED and isinstance(defs.get(name), ast.FunctionDef):
+            todo.extend(used(defs[name]))
+    return seen - {root}
+
+
+def _shared_engine_names(tree) -> set:
+    return (_reached(tree, "coeffs_series") & _reached(tree, "coeffs_window")) - ENGINE_SHARED
+
+
+def test_engine_guard_finds_shared_code():
+    src = """
+import numpy as np
+from .represent import Triple, helper
+_STEP = 4
+def degree(t: Triple) -> int:
+    return _STEP
+def _pass(c):
+    return helper(c, _STEP)
+def coeffs_series(t: Triple) -> Vec:
+    return _pass(np.zeros(degree(t)))
+def coeffs_window(t: Triple) -> Vec:
+    return np.ones(degree(t))
+"""
+    assert _shared_engine_names(ast.parse(src)) == set()
+    shared = src.replace("np.ones(degree(t))", "_pass(degree(t))")
+    assert _shared_engine_names(ast.parse(shared)) == {"_pass", "helper", "_STEP"}
+    direct = src.replace("np.ones(degree(t))", "helper(_STEP)")
+    assert _shared_engine_names(ast.parse(direct)) == {"helper", "_STEP"}
+
+
+def test_engines_share_no_code():
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    assert {"indicator_range", "_multiply_factor"} <= (
+        _reached(tree, "coeffs_window") | _reached(tree, "coeffs_series")
+    )
+    assert _shared_engine_names(tree) == set()
