@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification failed (witness printed),
-2 usage or precondition error, 3 resource cap exceeded.
+2 usage, precondition or file error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegreeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except IEPolyError as exc:
+    except (IEPolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

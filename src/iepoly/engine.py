@@ -79,6 +79,12 @@ def resolve_degree_cap() -> int:
     return cap
 
 
+def require_under_cap(n: int, what: str = "degree") -> None:
+    """Refuse a size n past the degree cap: the one place that raises it."""
+    if n > (limit := resolve_degree_cap()):
+        raise DegreeCapExceeded(n, limit, what)
+
+
 def value_run(values: np.ndarray) -> tuple[int, int, int | None]:
     """(lo, hi, gap) of a non-empty integer array: its extremes and the
     smallest integer between them it does not hold, None if none is missing.
@@ -120,13 +126,6 @@ class CoefficientVector:
         """The same polynomial storing only its lower half, as a view."""
         n = self.stored_length(self.degree, True)
         return replace(self, coeffs=self.coeffs[:n], half=True)
-
-    def full_coeffs(self) -> np.ndarray:
-        """The complete vector; mirrors the stored half when needed."""
-        if not self.half:
-            return self.coeffs
-        tail = self.coeffs[: self.degree - len(self.coeffs) + 1][::-1]
-        return np.concatenate([self.coeffs, tail])
 
     def coefficient(self, m: int | np.ndarray) -> int | np.ndarray:
         """a_m for an int m (an int) or an int64 array of m (an int64 array);
@@ -192,9 +191,7 @@ def coeffs_series(t: Triple, mode: str = "full") -> CoefficientVector:
     if mode not in ("full", "half"):
         raise InvalidParameters(f"mode must be 'full' or 'half', got {mode!r}")
     deg = degree(t)
-    limit = resolve_degree_cap()
-    if deg > limit:
-        raise DegreeCapExceeded(deg, limit)
+    require_under_cap(deg)
     u, v, w = t.sorted()
     c = np.zeros(CoefficientVector.stored_length(deg, mode == "half"), dtype=np.int64)
     # the series of 1/Q_uv, whole periods as rows and then the cut last one;
@@ -221,9 +218,7 @@ def coeffs_window(t: Triple) -> CoefficientVector:
     if not t.is_ternary():
         raise InvalidTriple(f"window engine needs all elements >= 3, got {t}")
     deg = degree(t)
-    limit = resolve_degree_cap()
-    if deg > limit:
-        raise DegreeCapExceeded(deg, limit)
+    require_under_cap(deg)
     # the indicator times (1 - z^u)(1 - z^v)(1 - z^w), in place as int8;
     # numpy reads each overlapping operand as if copied first
     d = indicator_range(t, deg + 1).view(np.int8)

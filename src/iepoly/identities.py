@@ -27,9 +27,10 @@ from math import prod
 import numpy as np
 
 from .engine import (
-    CoefficientVector, coefficient_at, coeffs_series, degree, resolve_degree_cap,
+    CoefficientVector, coefficient_at, coeffs_series, degree, require_under_cap,
+    resolve_degree_cap,
 )
-from .errors import DegreeCapExceeded, InvariantViolated, PreconditionViolated, UnknownCheck
+from .errors import InvariantViolated, PreconditionViolated, UnknownCheck
 from .report import VerificationReport
 from .represent import (
     Triple,
@@ -508,12 +509,12 @@ def verify_identity(
         raise PreconditionViolated(f"identity checks need a ternary triple, got {t}")
     if samples < 1:
         raise PreconditionViolated(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise PreconditionViolated(f"seed must be at least 0, got {seed}")
     run_mode = _resolve_mode(t, mode)
     ws = _workspace or _Workspace(t)
-    # exhaustive tables grow with the product, which no engine cap bounds
-    cap = resolve_degree_cap()
-    if run_mode == "exhaustive" and ws.table_length > cap:
-        raise DegreeCapExceeded(ws.table_length, cap, what="workspace table length")
+    if run_mode == "exhaustive":  # its tables grow with the product, not the degree
+        require_under_cap(ws.table_length, "workspace table length")
     # exhaustive positions draw nothing, and a generator costs as much as a small check
     rng = np.random.default_rng(seed) if run_mode == "sampled" else None
     passed, checked, witness = IDENTITY_CHECKS[check_id](t, ws, rng, samples, run_mode)

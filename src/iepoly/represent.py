@@ -129,7 +129,8 @@ def is_representable(n: int, t: Triple) -> bool:
 
     Defined for n < product; negative n are never representable.  The
     one-element case of indicator_many, so it builds that function's
-    lookup tables, of sizes p, q and r.
+    lookup tables, of sizes p, q and r, and raises DegreeCapExceeded when
+    the largest element is past the degree cap; decompose builds none.
     """
     return bool(indicator_many(n, t))
 
@@ -145,11 +146,15 @@ def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
 
     Negative entries yield 0 without special casing: the reconstructed sum
     of table entries is always nonnegative, so it can never equal n < 0.
-    Works through cache-sized blocks of _BLOCK positions.
+    Works through cache-sized blocks of _BLOCK positions.  Its residue
+    tables, p, q and r entries long, are refused past the degree cap on
+    every call, so a cached table built under a larger cap is refused too.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= t.product:
         raise DomainExceeded(f"index beyond product {t.product} for {t}")
+    from .engine import require_under_cap  # engine imports this module
+    require_under_cap(max(t.as_tuple()), "residue table length")
     xtab, ytab, ztab = _residue_tables(t)
     flat = ns.ravel()
     out = np.empty(flat.size, dtype=np.uint8)

@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from math import gcd
 from typing import Iterator
 
@@ -102,21 +103,21 @@ def _guarded(kind: str, record, key: tuple) -> dict:
         return {"task": kind, "key": list(key), "error": type(exc).__name__, "detail": str(exc)}
 
 
-def _task_items(task: SearchTask) -> tuple[list[tuple], object, dict]:
-    """Ordered keys, the per-key record function, and for a sharp-step task
-    the fields its target rests on (empty for every other kind)."""
+def _task_items(task: SearchTask) -> tuple[Iterator[tuple], object, dict]:
+    """Ordered keys (a generator), the per-key record function, and for a
+    sharp-step task the fields its target rests on (empty otherwise)."""
     if task.kind in ("height-sweep", "flat-hunt"):
-        keys = [  # a flat hunt keeps the offset-one triples, r = +-1 mod p*q
+        keys = (  # a flat hunt keeps the offset-one triples, r = +-1 mod p*q
             t.as_tuple() for t in enumerate_coprime_triples(task.ranges)
             if task.kind == "height-sweep" or t.r % (t.p * t.q) in (1, t.p * t.q - 1)
-        ]
+        )
         return keys, partial(_record, task.kind), {}
     (p_lo, p_hi), (q_lo, q_hi) = task.ranges
-    keys = [
+    keys = (
         (p, q)
         for p, q in enumerate_coprime_pairs(p_hi, q_hi, coprime_to=task.s, p_min=p_lo)
         if q >= q_lo
-    ]
+    )
     basis = {}
     if task.kind == "sharp-step":  # conditional unless the known table pins this sup
         sup, attained = bounded_height_sup(task.s, max(p_hi, q_hi))
@@ -227,8 +228,8 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
         _check_manifest(task, out)
         prior, offset = _read_complete_lines(out)
         for i, rec in enumerate(prior):
-            # compared as JSON text, where 3.0 is not 3
-            if i >= len(keys) or json.dumps(rec.get("key")) != json.dumps(list(keys[i])):
+            key = next(keys, None)  # compared as JSON text, where 3.0 is not 3
+            if key is None or json.dumps(rec.get("key")) != json.dumps(list(key)):
                 raise PersistenceError(f"{out} does not match this task at line {i + 1}")
         done = len(prior)
         with open(out, "rb+") as fh:
@@ -237,7 +238,6 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
         open(out, "wb").close()
 
     _write_manifest(task, out)
-    pending = keys[done:]
     written = errors = 0
     solutions = []
 
@@ -252,16 +252,19 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
             solutions.append(tuple(record["key"]))
 
     with open(out, "ab") as fh:
-        if workers > 1 and len(pending) > 1:
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for record in pool.map(compute, pending, chunksize=16):
-                    consume(fh, record)
+                # Executor.map submits its whole input at once, so the pool
+                # gets one batch of keys at a time: 64 chunks of 16 per worker
+                while batch := list(islice(keys, 1024 * workers)):
+                    for record in pool.map(compute, batch, chunksize=16):
+                        consume(fh, record)
         else:
-            for key in pending:
+            for key in keys:
                 consume(fh, compute(key))
     return SweepSummary(
         path=out,
-        total=len(keys),
+        total=done + written,
         written=written,
         skipped=done,
         errors=errors,

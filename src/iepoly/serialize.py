@@ -19,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .engine import ENGINE_SERIES, ENGINE_WINDOW, CoefficientVector, degree, resolve_degree_cap
+from .engine import ENGINE_SERIES, ENGINE_WINDOW, CoefficientVector, degree, require_under_cap
 from .errors import DegreeCapExceeded, IEPolyError, InvalidParameters, PersistenceError
 from .represent import Triple
 
@@ -68,12 +68,6 @@ def _vector(header: dict, coeffs) -> CoefficientVector:
     return vec
 
 
-def _refuse_past_cap(deg: int) -> None:
-    """Refuse a header degree past the cap, before any coefficient is read."""
-    if deg > (limit := resolve_degree_cap()):
-        raise DegreeCapExceeded(deg, limit)
-
-
 def _reader(decode):
     """A public reader from `decode(fp)`, which only decodes a header dict
     and the coefficients: `_vector` checks them.  The degree cap's errors
@@ -104,7 +98,7 @@ def write_json(vec: CoefficientVector, fp: IO[str]) -> None:
 @_reader
 def read_json(fp: IO[str]):
     obj = json.load(fp)
-    _refuse_past_cap(obj["degree"])
+    require_under_cap(obj["degree"])
     return obj, obj["coeffs"]
 
 
@@ -139,7 +133,7 @@ def write_csv(vec: CoefficientVector, fp: IO[str]) -> None:
 @_reader
 def read_csv(fp: IO[str]):
     header = _parse_header_line(fp.readline().rstrip("\n"))
-    _refuse_past_cap(header["degree"])
+    require_under_cap(header["degree"])  # before any coefficient is read
     column_line = fp.readline().rstrip("\n")
     if column_line != _CSV_COLUMNS:
         raise ValueError(f"unexpected CSV column header {column_line!r}")
@@ -175,7 +169,7 @@ def read_binary(fp: IO[bytes]):
     magic, version, p, q, r, deg, count, half, engine = _BIN_HEADER.unpack(raw)
     if magic != _MAGIC:
         raise ValueError(f"unrecognized binary record (magic={magic!r})")
-    _refuse_past_cap(deg)  # the header sizes the buffer
+    require_under_cap(deg)  # the header sizes the buffer
     if count != CoefficientVector.stored_length(deg, half):
         raise ValueError(f"{count} coefficients do not fit degree {deg} (half={half})")
     payload, got = bytearray(8 * count + 1), 0  # the extra byte catches a trailing one

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import iepoly.checks
+from iepoly import cli
 from iepoly.cli import main
 from iepoly.report import VerificationReport
 
@@ -231,3 +232,66 @@ def test_usage_error_exit(capsys):
     assert main(["coeffs"]) == 2  # missing positional arguments
     assert main(["--version"]) == 0
     assert main(["no-such-command"]) == 2
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, "coeffs", "3", "5", "7", "--out", str(missing / "x.txt"))
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    code, _, err = run(capsys, "search", "height-sweep", "3:5", "4:7", "5:12",
+                       "--out", str(missing / "d" / "x.jsonl"))
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_verify_negative_seed(capsys, mode):
+    code, _, err = run(capsys, "verify", "second-difference", "101", "103", "10408",
+                       "--mode", mode, "--seed", "-1")
+    assert code == 2 and "seed must be at least 0" in err
+
+
+def test_coeffs_both_reports_the_first_disagreement(capsys, monkeypatch):
+    real = cli.coeffs_window
+
+    def skewed(t):
+        vec = real(t)
+        vec.coeffs[[7, 9]] += 1
+        return vec
+
+    monkeypatch.setattr(cli, "coeffs_window", skewed)
+    code, out, err = run(capsys, "coeffs", "3", "5", "7", "--engine", "both")
+    assert code == 1 and out == ""
+    assert err == "engine disagreement at index 7: series=-2 window=-1\n"
+
+
+def test_bound_check_wrong_arity(capsys):
+    code, _, err = run(capsys, "verify", "recursive-bound", "3", "5", "2")
+    assert code == 2 and "recursive-bound takes p q s r, got 3 values" in err
+
+
+def test_sup_text(capsys):
+    code, out, _ = run(capsys, "sup", "3", "10")
+    assert code == 0
+    assert out == ("sup height for offset 3 over pairs <= 10: >= 2 "
+                   "(attained at (4,5) (4,7) (5,7) (5,8) (7,8))\n")
+
+
+def test_search_prints_solutions(tmp_path, capsys):
+    out_file = str(tmp_path / "ba.jsonl")
+    code, out, _ = run(capsys, "search", "bound-attained", "5", "6", "--s", "2",
+                       "--out", out_file, "--workers", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "solutions: (3, 5)"
+
+
+def test_repro_mismatch_exits_one(capsys, monkeypatch):
+    wrong = VerificationReport(check_id="known-height", instance=(3, 5, 7), passed=False,
+                               detail="height 3, reference 2")
+    monkeypatch.setattr(iepoly.checks, "verify_known_values", lambda: [wrong])
+    code, out, _ = run(capsys, "repro")
+    assert code == 1
+    assert out.splitlines() == [
+        "known-height  {3,5,7}     height 3, reference 2        MISMATCH",
+        "0/1 reference values reproduced",
+    ]

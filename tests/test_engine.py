@@ -85,7 +85,7 @@ def test_half_mode_is_prefix():
     n = degree(t) // 2 + 1
     assert half.half and len(half.coeffs) == n
     assert np.array_equal(half.coeffs, full.coeffs[:n])
-    assert np.array_equal(half.full_coeffs(), full.coeffs)
+    assert np.array_equal(half.coefficient(np.arange(half.degree + 1)), full.coeffs)
 
 
 @pytest.mark.parametrize("triple", [(3, 5, 7), (4, 5, 21), (5, 7, 11)])  # even and odd

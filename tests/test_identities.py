@@ -185,6 +185,32 @@ def test_samples_below_one_rejected(samples):
         verify_identity_bundle(Triple(3, 5, 7), samples=samples, mode="sampled")
 
 
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
+def test_negative_seed_rejected(mode):
+    with pytest.raises(PreconditionViolated, match="seed must be at least 0"):
+        verify_identity("second-difference", Triple(3, 5, 7), seed=-1, mode=mode)
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(PreconditionViolated, match="unknown mode 'quick'"):
+        verify_identity("second-difference", Triple(3, 5, 7), mode="quick")
+
+
+def test_sampled_check_refuses_residue_tables_past_the_cap(monkeypatch, capsys):
+    # elements past the cap: the sampled indicator's residue tables would
+    # need about 7.28 TiB for the largest, so they are refused unbuilt
+    monkeypatch.delenv("IEPOLY_DEGREE_CAP", raising=False)
+    t = Triple(3, 4, 1000000000007)
+    with pytest.raises(DegreeCapExceeded, match="residue table length 1000000000007"):
+        verify_identity("second-difference", t, mode="sampled", samples=100)
+    argv = ["verify", "second-difference", "3", "4", "1000000000007", "--mode", "sampled",
+            "--samples", "100"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "resource cap: residue table length 1000000000007 exceeds the configured cap 20000000\n"
+    )
+
+
 def test_positions_exhaustive_grid_in_axis_order():
     calls = []
 

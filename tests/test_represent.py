@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iepoly import represent
-from iepoly.errors import DomainExceeded, IEPolyError, InvalidTriple, InvariantViolated
+from iepoly.errors import (
+    DegreeCapExceeded, DomainExceeded, IEPolyError, InvalidTriple, InvariantViolated,
+)
 from iepoly.represent import (
     Triple,
     decompose,
@@ -90,6 +92,19 @@ def test_decompose_builds_no_tables(monkeypatch):
             x, y, z, delta = decompose(n, t)
             assert 0 <= x < p and 0 <= y < q and 0 <= z < r
             assert x * q * r + y * r * p + z * p * q + delta * t.product == n
+
+
+def test_residue_tables_respect_the_degree_cap(monkeypatch):
+    t = Triple(3, 5, 7)
+    assert is_representable(15, t)  # tables built and cached under the default cap
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "6")
+    with pytest.raises(DegreeCapExceeded, match="residue table length 7 exceeds"):
+        is_representable(15, t)  # refused although cached
+    with pytest.raises(DegreeCapExceeded, match="residue table length 7 exceeds"):
+        indicator_many(np.arange(10), t)
+    assert decompose(15, t) == (0, 0, 1, 0)  # builds no table, so needs no cap
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "7")
+    assert is_representable(15, t)
 
 
 @pytest.mark.parametrize("p,q,r", SMALL)

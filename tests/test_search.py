@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -267,3 +268,73 @@ def test_sharp_step_computes_its_supremum_once(monkeypatch):
 def test_direct_search_rejects_what_the_task_rejects(kind, s, p_max):
     with pytest.raises(InvalidParameters):
         FINDERS[kind](s, p_max)
+
+
+def _spy_keys(monkeypatch):
+    """Counts of keys drawn from the task's key generator and, at each record
+    written, how many keys had been drawn beyond the records before it."""
+    real_items, real_encode = search._task_items, search._encode
+    drawn, ahead = [0], []
+
+    def counted(keys):
+        for key in keys:
+            drawn[0] += 1
+            yield key
+
+    def items(task):
+        keys, record, basis = real_items(task)
+        return counted(keys), record, basis
+
+    def encode(record):
+        ahead.append(drawn[0] - len(ahead))
+        return real_encode(record)
+
+    monkeypatch.setattr(search, "_task_items", items)
+    monkeypatch.setattr(search, "_encode", encode)
+    return drawn, ahead
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_draws_keys_lazily(tmp_path, monkeypatch, workers):
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "0")  # every record a cheap error record
+    drawn, ahead = _spy_keys(monkeypatch)
+    out = str(tmp_path / "lazy.jsonl")
+    summary = sweep_heights(SearchTask("height-sweep", ((3, 12), (3, 30), (3, 200))), out,
+                            workers=workers)
+    assert summary.total == summary.written == summary.errors == len(ahead) == drawn[0]
+    assert summary.total > 3 * 1024 * workers  # several batches at two workers
+    assert max(ahead) <= 1024 * workers  # one batch of 64 chunks of 16 per worker
+
+
+def test_sweep_draws_past_a_resumed_prefix_lazily(tmp_path, monkeypatch):
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "0")
+    task = SearchTask("height-sweep", ((3, 5), (4, 9), (5, 300)))
+    out = tmp_path / "cut.jsonl"
+    full = sweep_heights(task, str(out))
+    data = out.read_bytes()
+    out.write_bytes(data[: len(data) // 2 + 5])  # cut mid-record
+    drawn, ahead = _spy_keys(monkeypatch)
+    resumed = sweep_heights(SearchTask(task.kind, task.ranges, resume_from=str(out)), str(out))
+    assert out.read_bytes() == data
+    assert resumed.total == resumed.skipped + resumed.written == full.total == drawn[0]
+    assert max(ahead) <= resumed.skipped + 1
+
+
+def test_sweep_peak_does_not_grow_with_its_keys(tmp_path, monkeypatch):
+    # the cap turns every record into a cheap error record, so what the
+    # sweep itself holds is what shows
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "0")
+    out = str(tmp_path / "peak.jsonl")
+
+    def traced(r_max):
+        tracemalloc.start()
+        try:
+            summary = sweep_heights(SearchTask("height-sweep", ((3, 5), (4, 9), (5, r_max))), out)
+            return summary.total, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced(300)  # warm caches, so both runs below start alike
+    (keys, peak), (keys10, peak10) = traced(300), traced(3000)
+    assert keys10 >= 10 * keys
+    assert peak10 <= 1.1 * peak

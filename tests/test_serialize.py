@@ -54,7 +54,8 @@ def test_half_vector_roundtrips():
     buf.seek(0)
     back = serialize.read_json(buf)
     assert back.half is True
-    assert np.array_equal(back.full_coeffs(), vec.full_coeffs())
+    every = np.arange(vec.degree + 1)
+    assert np.array_equal(back.coefficient(every), vec.coefficient(every))
 
 
 def test_text_format_lines():
@@ -313,6 +314,26 @@ FORMATS = {
     "csv": (serialize.write_csv, serialize.read_csv, io.StringIO),
     "bin": (serialize.write_binary, serialize.read_binary, io.BytesIO),
 }
+
+
+@pytest.mark.parametrize(
+    "kind, mangle, message",
+    [
+        ("json", lambda s: s.replace('"engine":"series"', '"engine":"abacus"'),
+         "unknown engine 'abacus'"),
+        ("csv", lambda s: s.replace(" v1 ", " 1 ", 1), "unrecognized header line"),
+        ("csv", lambda s: s.replace(serialize._CSV_COLUMNS, "index;coefficient", 1),
+         "unexpected CSV column header"),
+        ("bin", lambda b: b[: serialize._BIN_HEADER.size - 1], "truncated binary header"),
+    ],
+    ids=["json-unknown-engine", "csv-header-line", "csv-column-line", "bin-short-header"],
+)
+def test_reader_names_the_malformed_part(kind, mangle, message):
+    writer, reader, stream = FORMATS[kind]
+    buf = stream()
+    writer(coeffs_series(Triple(3, 5, 7)), buf)
+    with pytest.raises(PersistenceError, match=message):
+        reader(stream(mangle(buf.getvalue())))
 
 
 # Each corruption keeps every invariant `validate` tests before the named

@@ -11,11 +11,14 @@ buffer gets that buffer as a `.toreadonly()` memoryview.
 
 Every size decision rests on one setting, the degree cap: the environment
 is read only inside `engine.resolve_degree_cap`, and no function takes a
-`cap` parameter that could set the limit another way.
+`cap` parameter that could set the limit another way.  Every refusal
+passes through one gate: `DegreeCapExceeded` is constructed only inside
+`engine.require_under_cap`.
 
 The two coefficient engines check each other only while they share no
-code: past the degree, its cap and the vector they return, the names that
-`coeffs_series` and `coeffs_window` reach in `engine.py` are disjoint.
+code: past the degree, the size gate and the vector they return, the
+names that `coeffs_series` and `coeffs_window` reach in `engine.py` are
+disjoint.
 """
 
 import ast
@@ -145,7 +148,57 @@ def test_degree_cap_is_the_one_setting():
     assert breaches == []
 
 
-ENGINE_SHARED = {"degree", "resolve_degree_cap", "CoefficientVector", "DegreeCapExceeded"}
+def _cap_constructions(tree, module: str) -> list:
+    """Lines that construct DegreeCapExceeded outside engine.require_under_cap."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if (isinstance(node, ast.Call) and _name(node) == "DegreeCapExceeded"
+                and where != "engine.require_under_cap"):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_cap_guard_finds_constructions_outside_the_gate():
+    src = """
+from .errors import DegreeCapExceeded
+def require_under_cap(n, what="degree"):
+    raise DegreeCapExceeded(n, 0, what)
+def coeffs(t):
+    raise DegreeCapExceeded(5, 0)
+class Reader:
+    def require_under_cap(self):
+        return errors.DegreeCapExceeded(1, 0)
+refuse = lambda: DegreeCapExceeded(1, 0)
+try:
+    pass
+except DegreeCapExceeded:
+    pass
+"""
+    assert _cap_constructions(ast.parse(src), "engine") == [6, 9, 10]
+    assert _cap_constructions(ast.parse(src), "serialize") == [4, 6, 9, 10]
+
+
+def test_degree_cap_is_refused_in_one_place():
+    found, gate = [], 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        found += [f"{path.relative_to(PACKAGE)}:{line}"
+                  for line in _cap_constructions(tree, module)]
+        if module == "engine":  # read as another module, its every construction shows
+            gate = len(_cap_constructions(tree, "elsewhere"))
+    assert gate == 1  # the gate itself, so the guard has something to find
+    assert found == []
+
+
+ENGINE_SHARED = {"degree", "require_under_cap", "CoefficientVector"}
 
 
 def _reached(tree, root: str) -> set:
