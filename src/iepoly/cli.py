@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification failed (witness printed),
-2 usage, precondition or file error, 3 resource cap exceeded.
+2 usage, precondition or file error, 3 resource cap exceeded, 141 stdout
+closed by its reader (128 + SIGPIPE, as a shell reports a piped tool).
 """
 
 from __future__ import annotations
@@ -136,12 +137,7 @@ def _parse_bound(token: str) -> tuple[int, int]:
 def _cmd_search(args) -> int:
     ranges = tuple(_parse_bound(tok) for tok in args.bounds)
     out = args.out or f"iepoly-{args.kind}.jsonl"
-    task = SearchTask(
-        kind=args.kind,
-        ranges=ranges,
-        s=args.s,
-        resume_from=out if args.resume else None,
-    )
+    task = SearchTask(args.kind, ranges, s=args.s, resume_from=out if args.resume else None)
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     summary = sweep_heights(task, out, workers=workers)
     print(
@@ -156,13 +152,9 @@ def _cmd_search(args) -> int:
 def _cmd_sup(args) -> int:
     value, attained = checks.bounded_height_sup(args.s, args.p_max)
     if args.json:
-        print(
-            json.dumps(
-                {"s": args.s, "p_max": args.p_max, "value": value,
-                 "attained": [list(a) for a in attained], "lower_bound": True},
-                separators=(",", ":"),
-            )
-        )
+        print(json.dumps({"s": args.s, "p_max": args.p_max, "value": value,
+                          "attained": [list(a) for a in attained], "lower_bound": True},
+                         separators=(",", ":")))
     else:
         shown = " ".join(f"({p},{q})" for p, q in attained) or "-"
         print(
@@ -175,13 +167,11 @@ def _cmd_sup(args) -> int:
 def _cmd_repro(args) -> int:
     reports = checks.verify_known_values()
     width = max(len(str(r.instance)) for r in reports)
-    failed = 0
+    failed = sum(not r.passed for r in reports)
     for r in reports:
         status = "ok" if r.passed else "MISMATCH"
         inst = "{" + ",".join(str(x) for x in sorted(r.instance)) + "}"
         print(f"{r.check_id:<13} {inst:<{width + 2}} {r.detail:<28} {status}")
-        if not r.passed:
-            failed += 1
     print(f"{len(reports) - failed}/{len(reports)} reference values reproduced")
     return 0 if failed == 0 else 1
 
@@ -255,6 +245,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader left (`| head -1`): stop quietly, flushing at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DegreeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import Iterator
 
@@ -101,6 +102,21 @@ def _guarded(kind: str, record, key: tuple) -> dict:
         return record(key)
     except IEPolyError as exc:
         return {"task": kind, "key": list(key), "error": type(exc).__name__, "detail": str(exc)}
+
+
+def _pooled(compute, keys: Iterator[tuple], workers: int) -> Iterator[dict]:
+    """compute(key) for each key, on a pool of processes, in key order.
+    Executor.map submits its whole input at once, so the pool gets batches
+    of 512 keys per worker, two in flight: the next batch is queued while
+    one is written, so no worker idles at a batch boundary.  (A window of
+    single chunks, refilled one at a time, cost more in submissions.)"""
+    batches = iter(lambda: list(islice(keys, 512 * workers)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        submit = partial(pool.map, compute, chunksize=16)
+        window = deque(map(submit, islice(batches, 2)))
+        while window:
+            yield from window.popleft()
+            window.extend(map(submit, islice(batches, 1)))
 
 
 def _task_items(task: SearchTask) -> tuple[Iterator[tuple], object, dict]:
@@ -238,30 +254,20 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
         open(out, "wb").close()
 
     _write_manifest(task, out)
+    head = list(islice(keys, 2 if workers > 1 else 0))  # one pending key needs no pool
+    keys = chain(head, keys)
+    records = _pooled(compute, keys, workers) if len(head) > 1 else map(compute, keys)
     written = errors = 0
     solutions = []
-
-    def consume(fh, record):
-        nonlocal written, errors
-        fh.write(_encode(record))
-        fh.flush()
-        written += 1
-        if "error" in record:
-            errors += 1
-        elif record.get("solution"):
-            solutions.append(tuple(record["key"]))
-
     with open(out, "ab") as fh:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # Executor.map submits its whole input at once, so the pool
-                # gets one batch of keys at a time: 64 chunks of 16 per worker
-                while batch := list(islice(keys, 1024 * workers)):
-                    for record in pool.map(compute, batch, chunksize=16):
-                        consume(fh, record)
-        else:
-            for key in keys:
-                consume(fh, compute(key))
+        for record in records:
+            fh.write(_encode(record))
+            fh.flush()
+            written += 1
+            if "error" in record:
+                errors += 1
+            elif record.get("solution"):
+                solutions.append(tuple(record["key"]))
     return SweepSummary(
         path=out,
         total=done + written,

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import iepoly
 import iepoly.checks
 from iepoly import cli
 from iepoly.cli import main
@@ -242,6 +247,21 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
                        "--out", str(missing / "d" / "x.jsonl"))
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
     assert not missing.exists()
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the command writes, as `| head -1` does
+    # once it has its line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(iepoly.__file__).parents[1])
+    try:
+        done = subprocess.run([sys.executable, "-m", "iepoly", "coeffs", "11", "13", "97"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])

@@ -100,6 +100,16 @@ def test_sweep_refuses_workers_below_one(tmp_path):
     assert not out.exists()
 
 
+def test_one_pending_key_starts_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one key")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    task = SearchTask("height-sweep", ((3, 3), (5, 5), (7, 7)))
+    summary = sweep_heights(task, str(tmp_path / "one.jsonl"), workers=2)
+    assert (summary.total, summary.written) == (1, 1)
+
+
 def test_resume_after_partial_line(tmp_path):
     task = SearchTask("height-sweep", RANGES)
     ref = str(tmp_path / "ref.jsonl")
@@ -303,7 +313,9 @@ def test_sweep_draws_keys_lazily(tmp_path, monkeypatch, workers):
                             workers=workers)
     assert summary.total == summary.written == summary.errors == len(ahead) == drawn[0]
     assert summary.total > 3 * 1024 * workers  # several batches at two workers
-    assert max(ahead) <= 1024 * workers  # one batch of 64 chunks of 16 per worker
+    assert max(ahead) <= 1024 * workers  # two batches of 512 keys per worker
+    if workers > 1:  # the next batch is queued while one is written
+        assert min(ahead[: len(ahead) - 1024 * workers]) > 512 * workers
 
 
 def test_sweep_draws_past_a_resumed_prefix_lazily(tmp_path, monkeypatch):
