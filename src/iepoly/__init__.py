@@ -58,56 +58,3 @@ from .search import (
     sweep_heights,
 )
 
-__all__ = [
-    "__version__",
-    "CoefficientVector",
-    "HeightRecord",
-    "IDENTITY_CHECKS",
-    "KNOWN_FLAT",
-    "KNOWN_HEIGHTS",
-    "Representation",
-    "SearchTask",
-    "Triple",
-    "VerificationReport",
-    "bounded_height_sup",
-    "coefficient_at",
-    "coefficient_set",
-    "coeffs_series",
-    "coeffs_window",
-    "decompose",
-    "degree",
-    "enumerate_coprime_triples",
-    "find_bound_attained_pairs",
-    "find_sharp_step_pairs",
-    "height",
-    "indicator_many",
-    "indicator_range",
-    "is_flat",
-    "is_representable",
-    "is_representable_via_threshold",
-    "read_results",
-    "semigroup_representative",
-    "survey_residue_classes",
-    "sweep_heights",
-    "verify_absolute_bound",
-    "verify_coeffset_residue",
-    "verify_height_residue",
-    "verify_identity",
-    "verify_identity_bundle",
-    "verify_iterated_bound",
-    "verify_known_values",
-    "verify_recursive_bound",
-    "window_count",
-    # errors
-    "IEPolyError",
-    "DegreeCapExceeded",
-    "DomainExceeded",
-    "InvalidParameters",
-    "InvalidTriple",
-    "InvariantViolated",
-    "NotConsecutive",
-    "NotInvertible",
-    "PersistenceError",
-    "PreconditionViolated",
-    "UnknownCheck",
-]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification failed (witness printed),
-2 usage, precondition or file error, 3 resource cap exceeded, 141 stdout
+2 usage, precondition or file error, 3 resource cap exceeded, memory
+exhausted or a sweep worker lost (its file stays resumable), 141 stdout
 closed by its reader (128 + SIGPIPE, as a shell reports a piped tool).
 """
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -251,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except DegreeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except (MemoryError, BrokenProcessPool) as exc:  # a sweep keeps every line it wrote
+        print(f"resource: {exc!r}", file=sys.stderr)
         return 3
     except (IEPolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,11 +136,20 @@ class _Grid:
 
     def __init__(self, base: int, strides: tuple, shape: tuple):
         self.base, self.strides, self.shape = base, strides, shape
-        self.keep = self.axis = None
+        self.keep = None
 
     @property
     def size(self) -> int:
         return prod(self.shape)
+
+    @cached_property
+    def axis(self) -> np.ndarray:
+        """A column's values (_axis), derived on first read, shaped to
+        broadcast over the box; a derived grid such as i*r + j has none."""
+        if sorted(self.strides) != [0] * (len(self.strides) - 1) + [1]:
+            raise TypeError(f"a grid with strides {self.strides} is not a column")
+        shape = [n if step else 1 for n, step in zip(self.shape, self.strides)]
+        return np.arange(self.base, self.base + prod(shape), dtype=np.int64).reshape(shape)
 
     def __add__(self, other):
         if isinstance(other, _Grid) and other.shape == self.shape:
@@ -218,11 +227,11 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
 def _positions(rng, samples, mode, *axes, keep=None, split=None):
     """Positions over the half-open box `axes`, restricted to `keep`.
 
-    Exhaustive: one _Grid per axis over the whole box, first axis slowest,
-    each carrying its values as `axis` and, as its `keep`, the mask keep
-    computes from them.  Sampled: index arrays, drawn in batches of
-    max(samples, 1024) uniform tuples until `samples` of them pass `keep`,
-    giving up after 64 batches.
+    Exhaustive: one unit _Grid per axis over the whole box, first axis
+    slowest, each carrying as its `keep` the mask keep computes from their
+    axes.  Sampled: index arrays, drawn in batches of max(samples, 1024)
+    uniform tuples until `samples` of them pass `keep`, giving up after 64
+    batches.
 
     split=m takes one axis [lo, hi), m dividing both ends, as i, j with
     n = i*m + j, 0 <= j < m: exhaustive walks the box (hi//m - lo//m, m),
@@ -230,10 +239,8 @@ def _positions(rng, samples, mode, *axes, keep=None, split=None):
     """
     if mode == "exhaustive":
         axes = [(lo // split, hi // split) for lo, hi in axes] + [(0, split)] if split else axes
-        shape, units = tuple(hi - lo for lo, hi in axes), np.identity(len(axes), dtype=int)
-        cols = [_Grid(lo, tuple(u.tolist()), shape) for u, (lo, _) in zip(units, axes)]
-        for col, u, (lo, hi) in zip(cols, units, axes):
-            col.axis = np.arange(lo, hi, dtype=np.int64).reshape(np.where(u, -1, 1))
+        shape, dims = tuple(hi - lo for lo, hi in axes), range(len(axes))
+        cols = [_Grid(axes[k][0], tuple(int(i == k) for i in dims), shape) for k in dims]
         if keep is not None:
             mask = np.broadcast_to(keep(*(col.axis for col in cols)), shape)
             for col in cols:

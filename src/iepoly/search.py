@@ -111,12 +111,15 @@ def _pooled(compute, keys: Iterator[tuple], workers: int) -> Iterator[dict]:
     one is written, so no worker idles at a batch boundary.  (A window of
     single chunks, refilled one at a time, cost more in submissions.)"""
     batches = iter(lambda: list(islice(keys, 512 * workers)), [])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
         submit = partial(pool.map, compute, chunksize=16)
         window = deque(map(submit, islice(batches, 2)))
         while window:
             yield from window.popleft()
             window.extend(map(submit, islice(batches, 1)))
+    finally:  # a failed key ends the sweep without computing the queued ones
+        pool.shutdown(cancel_futures=True)
 
 
 def _task_items(task: SearchTask) -> tuple[Iterator[tuple], object, dict]:
@@ -152,32 +155,32 @@ def _encode(record: dict) -> bytes:
     return json.dumps(record, separators=(",", ":")).encode() + b"\n"
 
 
-def _read_complete_lines(path: str) -> tuple[list[dict], int]:
-    """The record on every newline-terminated line, plus the byte offset
-    where the last complete line ends (a trailing partial line is ignored).
-    A complete line that is not a JSON object in the compact encoding a
-    sweep writes, a blank line included, raises PersistenceError."""
+def _read_complete_lines(path: str) -> Iterator[tuple[dict, int]]:
+    """The record on each newline-terminated line, read one line at a time,
+    with the byte offset where its line ends (a trailing partial line is
+    ignored).  A complete line that is not a JSON object in the compact
+    encoding a sweep writes, a blank line included, raises PersistenceError."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            for i, line in enumerate(fh, 1):
+                if not line.endswith(b"\n"):
+                    return
+                try:
+                    record = json.loads(line[:-1])
+                except ValueError as exc:  # also undecodable bytes
+                    raise PersistenceError(f"malformed line {i} in {path}: {exc}") from exc
+                # a resumed file keeps these bytes, so a "\r\n" or a space would stay
+                if not isinstance(record, dict) or _encode(record) != line:
+                    raise PersistenceError(
+                        f"line {i} of {path} is not a record as a sweep writes it")
+                yield record, fh.tell()
     except OSError as exc:
         raise PersistenceError(f"cannot read {path}: {exc}") from exc
-    end = data.rfind(b"\n") + 1
-    records = []
-    for i, line in enumerate(data[:end].split(b"\n")[:-1], 1):
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:  # also undecodable bytes
-            raise PersistenceError(f"malformed line {i} in {path}: {exc}") from exc
-        # a resumed file keeps these bytes, so a "\r\n" or a space would stay
-        if not isinstance(records[-1], dict) or _encode(records[-1]) != line + b"\n":
-            raise PersistenceError(f"line {i} of {path} is not a record as a sweep writes it")
-    return records, end
 
 
 def read_results(path: str) -> list[dict]:
     """All complete records of a result file."""
-    return _read_complete_lines(path)[0]
+    return [record for record, _ in _read_complete_lines(path)]
 
 
 @dataclass
@@ -239,20 +242,15 @@ def sweep_heights(task: SearchTask, out: str, workers: int = 1) -> SweepSummary:
         raise InvalidParameters(f"a sweep resumes its own output {out}, not {task.resume_from}")
     keys, record, _ = _task_items(task)
     compute = partial(_guarded, task.kind, record)
-    done = 0
+    done = offset = 0
     if task.resume_from is not None and os.path.exists(out):
         _check_manifest(task, out)
-        prior, offset = _read_complete_lines(out)
-        for i, rec in enumerate(prior):
+        for done, (rec, offset) in enumerate(_read_complete_lines(out), 1):
             key = next(keys, None)  # compared as JSON text, where 3.0 is not 3
             if key is None or json.dumps(rec.get("key")) != json.dumps(list(key)):
-                raise PersistenceError(f"{out} does not match this task at line {i + 1}")
-        done = len(prior)
-        with open(out, "rb+") as fh:
-            fh.truncate(offset)
-    else:
-        open(out, "wb").close()
-
+                raise PersistenceError(f"{out} does not match this task at line {done}")
+    with open(out, "ab") as fh:  # a resume keeps its complete lines, a fresh run none
+        fh.truncate(offset)
     _write_manifest(task, out)
     head = list(islice(keys, 2 if workers > 1 else 0))  # one pending key needs no pool
     keys = chain(head, keys)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -8,9 +9,11 @@ import pytest
 
 import iepoly
 import iepoly.checks
-from iepoly import cli
+from iepoly import cli, search
 from iepoly.cli import main
 from iepoly.report import VerificationReport
+
+_RECORD = search._record
 
 
 def run(capsys, *argv):
@@ -315,3 +318,36 @@ def test_repro_mismatch_exits_one(capsys, monkeypatch):
         "known-height  {3,5,7}     height 3, reference 2        MISMATCH",
         "0/1 reference values reproduced",
     ]
+
+
+# records that fail at one key of the sweep below; module-level, so a pool
+# pickles them by name, and a forked worker finds them patched in
+def _out_of_memory(kind, key, *args, **kwargs):
+    if key == (3, 7, 40):
+        raise MemoryError
+    return _RECORD(kind, key, *args, **kwargs)
+
+
+def _worker_dies(kind, key, *args, **kwargs):
+    if key == (3, 7, 40):
+        os._exit(1)
+    return _RECORD(kind, key, *args, **kwargs)
+
+
+@pytest.mark.parametrize("record,workers", [
+    (_out_of_memory, 1), (_out_of_memory, 2), (_worker_dies, 2),
+], ids=["memory-1", "memory-2", "dies-2"])
+def test_failed_sweep_exits_three_and_resumes(tmp_path, capsys, monkeypatch, record, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("a patched record reaches pool workers only when they fork")
+    argv = ("search", "height-sweep", "3:5", "4:9", "5:60", "--workers", str(workers))
+    ref, out = tmp_path / "ref.jsonl", tmp_path / "cut.jsonl"
+    assert run(capsys, *argv, "--out", str(ref))[0] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_record", record)
+        code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 3 and err.startswith("resource: ") and "Traceback" not in err
+    cut, full = out.read_bytes(), ref.read_bytes()
+    assert full.startswith(cut) and len(cut) < len(full) and cut[-1:] in (b"", b"\n")
+    assert run(capsys, *argv, "--out", str(out), "--resume")[0] == 0
+    assert out.read_bytes() == full

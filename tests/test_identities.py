@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,44 @@ def test_positions_split_exhaustive_walks_in_order():
     assert np.array_equal(_axis(j), np.arange(3).reshape(1, 3))
 
 
+def test_exhaustive_positions_build_no_axis():
+    # a column stores its box; its axis is built only when read
+    for split in (None, 1000):
+        tracemalloc.start()
+        try:
+            cols = _positions(None, 0, "exhaustive", (0, 4 * 10**6), split=split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (split, peak)
+        assert np.array_equal(_axis(cols[-1]).ravel(), np.arange(split or 4 * 10**6))
+
+
+def test_exhaustive_bundles_build_only_the_axes_they_read(monkeypatch):
+    # a column holding an axis counts as built; one whose axis a check or a
+    # keep mask asked for counts as read
+    cols, read, positions = [], set(), identities._positions
+
+    class Spied(_Grid):
+        def __getattribute__(self, name):
+            if name == "axis":
+                read.add(id(self))
+            return super().__getattribute__(name)
+
+    def spy(*args, **kwargs):
+        out = positions(*args, **kwargs)
+        cols.extend(out)
+        return out
+
+    monkeypatch.setattr(identities, "_Grid", Spied)
+    monkeypatch.setattr(identities, "_positions", spy)
+    for t, ids in _golden_bundles():
+        verify_identity_bundle(t, ids, mode="exhaustive")
+    built = sum(vars(col).get("axis") is not None for col in cols)
+    assert read and read <= {id(col) for col in cols}
+    assert built == len(read) < len(cols)
+
+
 def test_positions_split_sampled_keeps_draws():
     # the same draws as without split, returned as quotient and residue
     (xs,) = _positions(np.random.default_rng(9), 3000, "sampled", (0, 1155))
@@ -268,6 +307,8 @@ def test_grid_arithmetic_matches_arrays():
         lambda: ks * 7 % 3, lambda: (js - 8) // 3, lambda: ks * 2 < js, lambda: js >= 2,
         lambda: k + js, lambda: 3 + ks, lambda: ks * k,
         lambda: semigroup_representative(js * 3, Triple(3, 5, 7), 7),
+        # a derived grid is no column, so it has no axis to read
+        lambda: (ks * 7 + js).axis, lambda: (ks * 2).axis, lambda: (ks - js).axis,
     ]:
         with pytest.raises(TypeError):
             op()

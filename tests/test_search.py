@@ -350,3 +350,26 @@ def test_sweep_peak_does_not_grow_with_its_keys(tmp_path, monkeypatch):
     (keys, peak), (keys10, peak10) = traced(300), traced(3000)
     assert keys10 >= 10 * keys
     assert peak10 <= 1.1 * peak
+
+
+def test_resume_peak_does_not_grow_with_its_prefix(tmp_path, monkeypatch):
+    # a resume reads its prefix one line at a time; the cap makes every
+    # record a cheap error record
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "0")
+
+    def traced(r_max):
+        task = SearchTask("height-sweep", ((3, 5), (4, 9), (5, r_max)))
+        out = str(tmp_path / f"done-{r_max}.jsonl")
+        sweep_heights(task, out)
+        tracemalloc.start()
+        try:
+            summary = sweep_heights(SearchTask(task.kind, task.ranges, resume_from=out), out)
+            assert summary.written == 0
+            return summary.skipped, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced(300)  # warm caches, so both runs below start alike
+    (lines, peak), (lines10, peak10) = traced(300), traced(3000)
+    assert lines10 >= 10 * lines
+    assert peak10 <= 1.1 * peak
