@@ -304,8 +304,8 @@ def recursive_bound_sweep(
     q_max: int = 25, p_min: int = 3
 ) -> tuple[list[VerificationReport], dict[str, int]]:
     """Both step bounds over all (p, q, s, sign) with p < q <= q_max and
-    1 <= s < q, r = pq + sign*s; returns failures-first reports and a tally
-    of how often the upper step is attained versus exact equality."""
+    1 <= s < q, r = pq + sign*s; returns the reports in enumeration order
+    and a tally of how often the upper step is attained versus exact equality."""
     reports: list[VerificationReport] = []
     tally = {"instances": 0, "equal": 0, "plus-one": 0, "failed": 0}
     for p, q in enumerate_coprime_pairs(q_max, q_max, p_min=p_min):

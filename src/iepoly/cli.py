@@ -109,15 +109,16 @@ def _report_exit(report, as_json: bool) -> int:
 def _cmd_verify(args) -> int:
     cid = args.check_id
     params = args.params
+    # the options given: an identity check takes the rest at its defaults
+    opts = {k: v for k in ("samples", "seed", "mode") if (v := getattr(args, k)) is not None}
     if cid in identities.IDENTITY_CHECKS:
         if len(params) != 3:
             raise PreconditionViolated(f"{cid} takes p q r, got {len(params)} values")
         t = Triple(*(_int_param(x) for x in params))
-        report = identities.verify_identity(
-            cid, t, samples=args.samples, seed=args.seed, mode=args.mode
-        )
-        return _report_exit(report, args.json)
+        return _report_exit(identities.verify_identity(cid, t, **opts), args.json)
     if cid in _BOUND_CHECKS:
+        if opts:  # a whole-polynomial check has no positions to draw
+            raise PreconditionViolated(f"{cid} takes no --{', --'.join(opts)}")
         names, fn_name = _BOUND_CHECKS[cid]
         if len(params) != len(names):
             raise PreconditionViolated(
@@ -210,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run one verification check")
     sp.add_argument("check_id", metavar="check-id")
     sp.add_argument("params", nargs="*", help="check parameters (see README)")
-    sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
+    sp.add_argument("--samples", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"))
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_verify)
 

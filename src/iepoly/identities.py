@@ -26,10 +26,7 @@ from math import prod
 
 import numpy as np
 
-from .engine import (
-    CoefficientVector, coefficient_at, coeffs_series, degree, require_under_cap,
-    resolve_degree_cap,
-)
+from .engine import coefficient_at, coeffs_series, require_under_cap
 from .errors import InvariantViolated, PreconditionViolated, UnknownCheck
 from .report import VerificationReport
 from .represent import (
@@ -44,11 +41,13 @@ from .represent import (
 # Auto mode exhausts the full domain up to this product and samples beyond.
 EXHAUSTIVE_PRODUCT_LIMIT = 100_000
 
+# Sampled checks draw and check at most this many positions at a time.
+_SAMPLE_BLOCK = 1 << 16
+
 
 class _Workspace:
-    """Tables behind the exhaustive oracles for one triple, the series
-    vector behind the sampled coefficient oracle and the workspace of the
-    companion triple; each built on first use.
+    """Tables behind the exhaustive oracles for one triple and the
+    workspace of the companion triple; each built on first use.
 
     ind, prefix and ext start with pad = 3*product zeros, so an exhaustive
     oracle reads position x as table[x + pad], and every x < 0 reads 0.
@@ -105,14 +104,11 @@ class _Workspace:
         return out
 
     @cached_property
-    def series(self) -> CoefficientVector:
-        return coeffs_series(self.t)
-
-    @cached_property
     def ext(self) -> np.ndarray:
         # a_m over [-pad, product): the pad, engine coefficients, a zero tail
+        coeffs = coeffs_series(self.t).coeffs
         out = np.zeros(self.pad + self.n, dtype=np.int64)
-        out[self.pad : self.pad + len(self.series)] = self.series.coeffs
+        out[self.pad : self.pad + len(coeffs)] = coeffs
         return out
 
     @cached_property
@@ -205,9 +201,8 @@ _Oracles = namedtuple("_Oracles", "ind sigma coeff")
 def _oracles(ws: _Workspace, mode: str) -> _Oracles:
     """Oracles of ws.t.  Exhaustive: they take grids only, each read as a
     view of a padded workspace table (_read); sigma is the difference of
-    two prefix views.  Sampled: evaluated directly, with coefficients from
-    the workspace's series vector, which one bundle computes once, up to
-    the degree cap, and past it from coefficient_at."""
+    two prefix views.  Sampled: evaluated directly, coefficients by
+    coefficient_at at every degree, so no vector is held."""
     t, pad = ws.t, ws.pad
     if mode == "exhaustive":
         return _Oracles(
@@ -218,9 +213,7 @@ def _oracles(ws: _Workspace, mode: str) -> _Oracles:
     return _Oracles(
         lambda ns: indicator_many(ns, t),
         lambda k, ms: window_count(k, ms, t),
-        # a lambda, so the series vector is built on the first call, not here
-        partial(coefficient_at, t) if degree(t) > resolve_degree_cap()
-        else lambda ms: ws.series.coefficient(ms),
+        partial(coefficient_at, t),
     )
 
 
@@ -519,12 +512,17 @@ def verify_identity(
     if seed < 0:
         raise PreconditionViolated(f"seed must be at least 0, got {seed}")
     run_mode = _resolve_mode(t, mode)
-    ws = _workspace or _Workspace(t)
+    ws, check = _workspace or _Workspace(t), IDENTITY_CHECKS[check_id]
     if run_mode == "exhaustive":  # its tables grow with the product, not the degree
         require_under_cap(ws.table_length, "workspace table length")
-    # exhaustive positions draw nothing, and a generator costs as much as a small check
-    rng = np.random.default_rng(seed) if run_mode == "sampled" else None
-    passed, checked, witness = IDENTITY_CHECKS[check_id](t, ws, rng, samples, run_mode)
+        passed, checked, witness = check(t, ws, None, samples, run_mode)
+    else:  # one generator drawn in blocks, so memory does not grow with samples
+        rng, checked = np.random.default_rng(seed), 0
+        for lo in range(0, samples, _SAMPLE_BLOCK):
+            passed, n, witness = check(t, ws, rng, min(_SAMPLE_BLOCK, samples - lo), run_mode)
+            checked += n
+            if not passed:
+                break
     return VerificationReport(
         check_id, t.as_tuple(), passed, run_mode, checked, witness,
         seed=seed if run_mode == "sampled" else None,

@@ -163,14 +163,14 @@ def test_search_cli_roundtrip(tmp_path, capsys):
     out_file = str(tmp_path / "sweep.jsonl")
     code, out, _ = run(capsys, "search", "height-sweep", "7", "8", "9", "--out", out_file)
     assert code == 0
-    first = open(out_file, "rb").read()
+    first = pathlib.Path(out_file).read_bytes()
     # resume over a complete file rewrites nothing and stays identical
     code, out, _ = run(
         capsys, "search", "height-sweep", "7", "8", "9", "--out", out_file, "--resume"
     )
     assert code == 0
     assert "skipped" in out
-    assert open(out_file, "rb").read() == first
+    assert pathlib.Path(out_file).read_bytes() == first
 
 
 def test_search_resume_rejects_other_task(tmp_path, capsys):
@@ -178,14 +178,14 @@ def test_search_resume_rejects_other_task(tmp_path, capsys):
     out_file = str(tmp_path / "pairs.jsonl")
     code, _, _ = run(capsys, "search", "bound-attained", "8", "8", "--s", "5", "--out", out_file)
     assert code == 0
-    first_line = open(out_file, "rb").readline()
+    first_line = pathlib.Path(out_file).read_bytes().splitlines(keepends=True)[0]
     with open(out_file, "wb") as fh:
         fh.write(first_line)
     code, _, err = run(
         capsys, "search", "bound-attained", "8", "8", "--s", "7", "--out", out_file, "--resume"
     )
     assert code == 2 and "manifest" in err
-    assert open(out_file, "rb").read() == first_line
+    assert pathlib.Path(out_file).read_bytes() == first_line
 
 
 @pytest.mark.parametrize("bad", [b"5\n", b'{"task":"height-sweep","key":3}\n', b"\n"])
@@ -193,7 +193,7 @@ def test_search_resume_rejects_foreign_lines(tmp_path, capsys, bad):
     out_file = str(tmp_path / "sweep.jsonl")
     argv = ("search", "height-sweep", "7", "8", "9", "--out", out_file)
     assert run(capsys, *argv)[0] == 0
-    first, second = open(out_file, "rb").readlines()[:2]
+    first, second = pathlib.Path(out_file).read_bytes().splitlines(keepends=True)[:2]
     with open(out_file, "wb") as fh:
         fh.write(first + bad + second)
     code, _, err = run(capsys, *argv, "--resume")
@@ -215,6 +215,24 @@ def test_verify_samples_below_one(capsys, samples):
         "--mode", "sampled", "--samples", samples,
     )
     assert code == 2 and "samples must be at least 1" in err
+
+
+@pytest.mark.parametrize("options", [
+    ("--samples", "-5"), ("--seed", "-1", "--mode", "sampled"), ("--samples", "10000"),
+    ("--mode", "auto"), ("--seed", "0"),
+])
+def test_whole_polynomial_check_refuses_sampling_options(capsys, options):
+    code, out, err = run(capsys, "verify", "height-residue", "3", "5", "17", "32", *options)
+    assert code == 2 and out == "" and "height-residue takes no --" in err
+    for flag in options[::2]:
+        assert flag in err
+
+
+def test_identity_check_defaults_unchanged(capsys):
+    code, out, _ = run(capsys, "verify", "second-difference", "101", "103", "10408", "--json")
+    default = iepoly.verify_identity("second-difference", iepoly.Triple(101, 103, 10408))
+    assert code == 0 and out == default.to_json() + "\n"
+    assert (default.mode, default.seed, default.checked) == ("sampled", 0, 30_000)
 
 
 def test_search_bounds_syntax(tmp_path, capsys):

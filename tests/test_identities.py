@@ -526,9 +526,10 @@ def test_exhaustive_tables_respect_degree_cap(monkeypatch, capsys):
     assert max(len(ws.ind), len(ws.prefix)) == ws.table_length
 
 
-def test_sampled_coefficients_read_series_up_to_degree_cap(monkeypatch):
-    # degree 4,530,240: the bundle builds one series vector under the
-    # default cap, none under a cap below the degree, with the same reports
+def test_sampled_coefficients_build_no_series_vector(monkeypatch):
+    # degree 4,530,240, under the default cap: a sampled bundle reads every
+    # coefficient through coefficient_at, so a cap below the degree, which
+    # refuses the vector, leaves the reports as they are
     t = Triple(41, 53, 2179)
     builds = []
 
@@ -542,12 +543,65 @@ def test_sampled_coefficients_read_series_up_to_degree_cap(monkeypatch):
         reps = verify_identity_bundle(t, samples=500, seed=7, mode="sampled")
         return [rep.to_json() for rep in reps]
 
-    with_series = report_lines()
-    assert len(builds) == 1
+    under_default = report_lines()
     monkeypatch.setenv("IEPOLY_DEGREE_CAP", str(degree(t) - 1))
-    builds.clear()
-    assert report_lines() == with_series
+    assert report_lines() == under_default
     assert builds == []
+
+
+def test_sampled_bundle_peak_does_not_grow_with_degree():
+    # degree 13,686,192: its series vector alone would take 104 MiB
+    tracemalloc.start()
+    try:
+        reports = verify_identity_bundle(Triple(59, 64, 3779), seed=7, mode="sampled")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reports)
+    assert peak < 16 << 20
+
+
+def test_sampled_checks_run_in_blocks(monkeypatch):
+    # blocks of at most 65,536 samples from one generator; checked adds up,
+    # and the first failing block ends the check with its witness
+    sizes, draws = [], []
+
+    def fake(t, ws, rng, samples, mode):
+        sizes.append(samples)
+        draws.append(int(rng.integers(1 << 30)))
+        failed = len(sizes) == fail_at
+        return not failed, samples, {"block": len(sizes)} if failed else None
+
+    monkeypatch.setitem(IDENTITY_CHECKS, "fake", fake)
+    t = Triple(101, 103, 10408)
+    fail_at = 0
+    rep = verify_identity("fake", t, samples=200_000, seed=3, mode="sampled")
+    assert (rep.passed, rep.checked, rep.witness) == (True, 200_000, None)
+    assert sizes == [65_536] * 3 + [3_392]
+    rng = np.random.default_rng(3)
+    assert draws == [int(rng.integers(1 << 30)) for _ in sizes]
+    sizes.clear()
+    fail_at = 2
+    rep = verify_identity("fake", t, samples=200_000, seed=3, mode="sampled")
+    assert (rep.passed, rep.checked, rep.witness) == (False, 131_072, {"block": 2})
+    assert sizes == [65_536] * 2
+
+
+def test_sampled_check_peak_does_not_grow_with_samples():
+    t = Triple(101, 103, 10408)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            rep = verify_identity("offset-period", t, samples=samples, seed=7, mode="sampled")
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.checked == samples
+        return used
+
+    one_block = peak(1 << 16)
+    assert peak(10 << 16) <= 1.1 * one_block
 
 
 def test_witness_payload_decodes():
@@ -567,16 +621,6 @@ def test_bundle_shares_workspace_results():
     # deterministic: same call, same reports
     again = verify_identity_bundle(t, mode="exhaustive")
     assert [str(r) for r in reports] == [str(r) for r in again]
-
-
-def test_sampled_bundle_computes_one_series_vector(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        "iepoly.identities.coeffs_series", lambda t: calls.append(t) or coeffs_series(t)
-    )
-    reports = verify_identity_bundle(Triple(23, 29, 671), samples=500, seed=5, mode="sampled")
-    assert all(r.passed for r in reports)
-    assert calls == [Triple(23, 29, 671)]
 
 
 def test_sampled_deterministic_under_seed():

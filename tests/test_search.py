@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_rerun_and_workers_byte_identical(tmp_path):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     sweep_heights(task, a, workers=1)
     sweep_heights(task, b, workers=3)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_sweep_refuses_workers_below_one(tmp_path):
@@ -114,7 +115,7 @@ def test_resume_after_partial_line(tmp_path):
     task = SearchTask("height-sweep", RANGES)
     ref = str(tmp_path / "ref.jsonl")
     sweep_heights(task, ref)
-    blob = open(ref, "rb").read()
+    blob = Path(ref).read_bytes()
 
     cut = str(tmp_path / "cut.jsonl")
     with open(cut, "wb") as fh:
@@ -122,7 +123,7 @@ def test_resume_after_partial_line(tmp_path):
     resumed = SearchTask("height-sweep", RANGES, resume_from=cut)
     summary = sweep_heights(resumed, cut)
     assert summary.skipped > 0
-    assert open(cut, "rb").read() == blob
+    assert Path(cut).read_bytes() == blob
 
 
 def test_resume_rejects_foreign_file(tmp_path):
@@ -147,14 +148,14 @@ def test_resume_rejects_lines_a_sweep_never_writes(tmp_path, mangle, unreadable)
     task = SearchTask("height-sweep", RANGES)
     out = str(tmp_path / "r.jsonl")
     sweep_heights(task, out)
-    first, second = open(out, "rb").readlines()[:2]
+    first, second = Path(out).read_bytes().splitlines(keepends=True)[:2]
     mangled = first + mangle(second)
     assert mangled != first + second
     with open(out, "wb") as fh:
         fh.write(mangled)
     with pytest.raises(PersistenceError, match="line 2"):
         sweep_heights(SearchTask("height-sweep", RANGES, resume_from=out), out)
-    assert open(out, "rb").read() == mangled
+    assert Path(out).read_bytes() == mangled
     if unreadable:
         with pytest.raises(PersistenceError, match="line 2"):
             read_results(out)
@@ -171,9 +172,9 @@ def test_manifest_written_deterministically(tmp_path):
     out = str(tmp_path / "m.jsonl")
     task = SearchTask("flat-hunt", ((3, 5), (3, 7), (3, 150)))
     sweep_heights(task, out)
-    first = open(out + MANIFEST_SUFFIX).read()
+    first = Path(out + MANIFEST_SUFFIX).read_text()
     sweep_heights(task, out)
-    assert open(out + MANIFEST_SUFFIX).read() == first
+    assert Path(out + MANIFEST_SUFFIX).read_text() == first
     manifest = json.loads(first)
     assert manifest["task"]["kind"] == "flat-hunt"
     assert "timestamp" not in first

@@ -12,8 +12,10 @@ buffer gets that buffer as a `.toreadonly()` memoryview.
 Every size decision rests on one setting, the degree cap: the environment
 is read only inside `engine.resolve_degree_cap`, and no function takes a
 `cap` parameter that could set the limit another way.  Every refusal
-passes through one gate: `DegreeCapExceeded` is constructed only inside
-`engine.require_under_cap`.
+passes through one gate: `DegreeCapExceeded` is constructed, and the cap
+is read by calling `engine.resolve_degree_cap`, only inside
+`engine.require_under_cap`.  So the cap only refuses sizes; it never
+chooses an algorithm.
 
 The two coefficient engines check each other only while they share no
 code: past the degree, the size gate and the vector they return, the
@@ -148,14 +150,15 @@ def test_degree_cap_is_the_one_setting():
     assert breaches == []
 
 
-def _cap_constructions(tree, module: str) -> list:
-    """Lines that construct DegreeCapExceeded outside engine.require_under_cap."""
+def _cap_constructions(tree, module: str, callee: str = "DegreeCapExceeded") -> list:
+    """Lines that call callee, by default construct DegreeCapExceeded,
+    outside engine.require_under_cap."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if (isinstance(node, ast.Call) and _name(node) == "DegreeCapExceeded"
+        if (isinstance(node, ast.Call) and _name(node) == callee
                 and where != "engine.require_under_cap"):
             found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
@@ -185,16 +188,30 @@ except DegreeCapExceeded:
     assert _cap_constructions(ast.parse(src), "serialize") == [4, 6, 9, 10]
 
 
-def test_degree_cap_is_refused_in_one_place():
+def _calls_outside_gate(callee: str) -> tuple[list, int]:
+    """The package's calls of callee outside engine.require_under_cap, and
+    the count inside it: engine.py read as another module shows them all."""
     found, gate = [], 0
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         found += [f"{path.relative_to(PACKAGE)}:{line}"
-                  for line in _cap_constructions(tree, module)]
-        if module == "engine":  # read as another module, its every construction shows
-            gate = len(_cap_constructions(tree, "elsewhere"))
+                  for line in _cap_constructions(tree, module, callee)]
+        if module == "engine":
+            gate = len(_cap_constructions(tree, "elsewhere", callee))
+    return found, gate
+
+
+def test_degree_cap_is_refused_in_one_place():
+    found, gate = _calls_outside_gate("DegreeCapExceeded")
     assert gate == 1  # the gate itself, so the guard has something to find
+    assert found == []
+
+
+def test_degree_cap_is_read_only_by_the_gate():
+    # the cap only refuses: no other code reads it to choose an algorithm
+    found, gate = _calls_outside_gate("resolve_degree_cap")
+    assert gate == 1
     assert found == []
 
 
