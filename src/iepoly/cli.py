@@ -9,6 +9,7 @@ closed by its reader (128 + SIGPIPE, as a shell reports a piped tool).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -179,6 +180,7 @@ def _cmd_repro(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache  # built on first use, then reused: each parse fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iepoly",
@@ -250,7 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         # stdout's reader left (`| head -1`): stop quietly, flushing at exit to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except DegreeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

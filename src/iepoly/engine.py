@@ -35,22 +35,12 @@ degree cap, and no run-time guard is needed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DegreeCapExceeded,
-    DomainExceeded,
-    InvalidParameters,
-    InvalidTriple,
-    InvariantViolated,
-)
-from .represent import Triple, indicator_range, window_count, window_sum
-
-DEFAULT_DEGREE_CAP = 20_000_000
-DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
+from .errors import DomainExceeded, InvalidParameters, InvalidTriple, InvariantViolated
+from .represent import Triple, indicator_range, require_under_cap, window_count, window_sum
 
 # Entries per block of the lagged subtraction in _multiply_factor and of
 # the consecutive-run check in value_run.
@@ -62,27 +52,6 @@ ENGINE_WINDOW = "window"
 
 def degree(t: Triple) -> int:
     return (t.p - 1) * (t.q - 1) * (t.r - 1)
-
-
-def resolve_degree_cap() -> int:
-    """The one size limit: $IEPOLY_DEGREE_CAP, a non-negative integer, or
-    DEFAULT_DEGREE_CAP when unset.  Every vector and table is sized under it."""
-    env = os.environ.get(DEGREE_CAP_ENV)
-    if env is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        raise InvalidParameters(f"{DEGREE_CAP_ENV} must be an integer, got {env!r}")
-    if cap < 0:
-        raise InvalidParameters(f"{DEGREE_CAP_ENV} must be at least 0, got {cap}")
-    return cap
-
-
-def require_under_cap(n: int, what: str = "degree") -> None:
-    """Refuse a size n past the degree cap: the one place that raises it."""
-    if n > (limit := resolve_degree_cap()):
-        raise DegreeCapExceeded(n, limit, what)
 
 
 def value_run(values: np.ndarray) -> tuple[int, int, int | None]:

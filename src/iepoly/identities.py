@@ -26,13 +26,14 @@ from math import prod
 
 import numpy as np
 
-from .engine import coefficient_at, coeffs_series, require_under_cap
+from .engine import coefficient_at, coeffs_series
 from .errors import InvariantViolated, PreconditionViolated, UnknownCheck
 from .report import VerificationReport
 from .represent import (
     Triple,
     indicator_many,
     indicator_range,
+    require_under_cap,
     semigroup_representative,
     window_count,
     window_sum,

@@ -14,6 +14,7 @@ identity validators.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -22,7 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import mod_inverse
-from .errors import DomainExceeded, InvalidParameters, InvalidTriple, InvariantViolated
+from .errors import (
+    DegreeCapExceeded,
+    DomainExceeded,
+    InvalidParameters,
+    InvalidTriple,
+    InvariantViolated,
+)
+
+DEFAULT_DEGREE_CAP = 20_000_000
+DEGREE_CAP_ENV = "IEPOLY_DEGREE_CAP"
 
 # Vectorized paths accumulate up to three table entries below p*q*r each,
 # so this keeps every intermediate inside signed 64 bits.
@@ -32,11 +42,31 @@ _PRODUCT_LIMIT = 1 << 60
 _BLOCK = 1 << 16
 
 # Expanded window positions per window_count chunk, which bounds its memory.
+# Not _BLOCK: 512 KiB temporaries keep glibc's dynamic mmap and trim
+# thresholds low, so a one-shot CLI process faults its pages in again on
+# every chunk: sampled `verify` at (107,151,16163) ran about 1.4x slower in
+# fresh processes on a 2-core Xeon.
 _CHUNK = 1 << 22
 
 # Largest modulus whose residue products, below its square, fit in int64:
 # isqrt(2^63 - 1).
 _INT64_SQRT = 3_037_000_499
+
+
+def require_under_cap(n: int, what: str = "degree") -> None:
+    """Refuse a size n past the degree cap, the one size limit that every
+    vector and table is sized under: $IEPOLY_DEGREE_CAP, a non-negative
+    integer, or DEFAULT_DEGREE_CAP when unset.  The one place that reads
+    the cap and the one place that raises it."""
+    env = os.environ.get(DEGREE_CAP_ENV)
+    try:
+        cap = DEFAULT_DEGREE_CAP if env is None else int(env)
+    except ValueError:
+        raise InvalidParameters(f"{DEGREE_CAP_ENV} must be an integer, got {env!r}")
+    if cap < 0:
+        raise InvalidParameters(f"{DEGREE_CAP_ENV} must be at least 0, got {cap}")
+    if n > cap:
+        raise DegreeCapExceeded(n, cap, what)
 
 
 @dataclass(frozen=True)
@@ -153,7 +183,6 @@ def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= t.product:
         raise DomainExceeded(f"index beyond product {t.product} for {t}")
-    from .engine import require_under_cap  # engine imports this module
     require_under_cap(max(t.as_tuple()), "residue table length")
     xtab, ytab, ztab = _residue_tables(t)
     flat = ns.ravel()
@@ -229,6 +258,7 @@ def window_count(k: int, m: int | np.ndarray, t: Triple) -> int | np.ndarray:
         raise DomainExceeded(f"m={top} is outside the domain for {t}")
     # nothing below zero counts, so no window need reach below it
     k = min(k, max(top + 1, 0))
+    require_under_cap(k, "window length")
     out = np.zeros(flat.size, dtype=np.int64)
     if k:
         step = max(_CHUNK // k, 1)

@@ -19,9 +19,9 @@ from typing import IO
 
 import numpy as np
 
-from .engine import ENGINE_SERIES, ENGINE_WINDOW, CoefficientVector, degree, require_under_cap
+from .engine import ENGINE_SERIES, ENGINE_WINDOW, CoefficientVector, degree
 from .errors import DegreeCapExceeded, IEPolyError, InvalidParameters, PersistenceError
-from .represent import Triple
+from .represent import Triple, require_under_cap
 
 FORMAT_NAME = "iepoly-coeffs"
 FORMAT_VERSION = 1

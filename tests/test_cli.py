@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import os
@@ -32,6 +33,30 @@ def test_height_text(capsys):
     code, out, _ = run(capsys, "height", "5", "7", "3")
     assert code == 0
     assert out.strip() == "{3,5,7}: height 2 (coefficients -2..1)"
+
+
+def test_parser_is_built_once_and_keeps_no_options(capsys):
+    cli.build_parser.cache_clear()
+    code, out, _ = run(capsys, "height", "5", "7", "3", "--json")
+    assert code == 0 and out.startswith("{")
+    code, out, _ = run(capsys, "height", "5", "7", "3")
+    assert code == 0
+    assert out.strip() == "{3,5,7}: height 2 (coefficients -2..1)"  # --json did not carry
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+def test_closed_stdout_leaves_no_descriptor_open():
+    def call_into_closed_pipe():
+        r, w = os.pipe()
+        os.close(r)  # the reader left before the first write
+        with open(w, "w") as out, contextlib.redirect_stdout(out):
+            return main(["coeffs", "11", "13", "97"])
+
+    assert call_into_closed_pipe() == 141
+    before = len(os.listdir("/proc/self/fd"))
+    assert [call_into_closed_pipe() for _ in range(3)] == [141] * 3
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_height_json_golden(capsys):

@@ -17,7 +17,6 @@ from iepoly.engine import (
     coeffs_series,
     coeffs_window,
     degree,
-    resolve_degree_cap,
 )
 from iepoly.errors import (
     DegreeCapExceeded,
@@ -26,7 +25,7 @@ from iepoly.errors import (
     InvalidTriple,
     InvariantViolated,
 )
-from iepoly.represent import Triple
+from iepoly.represent import Triple, require_under_cap
 
 from helpers import coprime_triples, reference_coeffs
 
@@ -184,13 +183,16 @@ def test_degree_cap(monkeypatch):
 
 def test_degree_cap_env(monkeypatch):
     monkeypatch.setenv("IEPOLY_DEGREE_CAP", "50")
-    assert resolve_degree_cap() == 50
+    require_under_cap(50)
+    with pytest.raises(DegreeCapExceeded) as err:
+        require_under_cap(51)
+    assert err.value.cap == 50
     with pytest.raises(DegreeCapExceeded):
         coeffs_series(Triple(3, 5, 17))
     for bad in ("not-a-number", "-5"):
         monkeypatch.setenv("IEPOLY_DEGREE_CAP", bad)
         with pytest.raises(InvalidParameters):
-            resolve_degree_cap()
+            require_under_cap(0)
 
 
 @settings(max_examples=200, deadline=None)

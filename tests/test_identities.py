@@ -526,6 +526,20 @@ def test_exhaustive_tables_respect_degree_cap(monkeypatch, capsys):
     assert max(len(ws.ind), len(ws.prefix)) == ws.table_length
 
 
+@pytest.mark.parametrize("cid", ["window-split", "companion-window"])
+def test_sampled_window_past_the_cap_is_refused_before_it_is_built(monkeypatch, cid):
+    # s = 20,000,003, past the default cap: its window expands no positions
+    monkeypatch.delenv("IEPOLY_DEGREE_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeCapExceeded, match="window length 20000003 exceeds"):
+            verify_identity(cid, Triple(3, 4, 20_000_015), mode="sampled", samples=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def test_sampled_coefficients_build_no_series_vector(monkeypatch):
     # degree 4,530,240, under the default cap: a sampled bundle reads every
     # coefficient through coefficient_at, so a cap below the degree, which

@@ -107,6 +107,17 @@ def test_residue_tables_respect_the_degree_cap(monkeypatch):
     assert is_representable(15, t)
 
 
+def test_window_count_refuses_a_window_past_the_cap(monkeypatch):
+    # the tables (largest element 997) pass; the expanded window would not
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "1000")
+    t = Triple(101, 103, 997)
+    with pytest.raises(DegreeCapExceeded, match="window length 900000 exceeds"):
+        window_count(900_000, np.array([t.product - 1]), t)
+    assert window_count(1000, t.product - 1, t) == int(
+        indicator_many(np.arange(t.product - 1000, t.product), t).sum()
+    )
+
+
 @pytest.mark.parametrize("p,q,r", SMALL)
 def test_indicator_matches_brute(p, q, r):
     t = Triple(p, q, r)

@@ -9,13 +9,15 @@ checks, so a write through any view would corrupt every later check: each
 `as_strided` call passes `writeable=False`, and each `ndarray` built over a
 buffer gets that buffer as a `.toreadonly()` memoryview.
 
-Every size decision rests on one setting, the degree cap: the environment
-is read only inside `engine.resolve_degree_cap`, and no function takes a
-`cap` parameter that could set the limit another way.  Every refusal
-passes through one gate: `DegreeCapExceeded` is constructed, and the cap
-is read by calling `engine.resolve_degree_cap`, only inside
-`engine.require_under_cap`.  So the cap only refuses sizes; it never
-chooses an algorithm.
+Every size decision rests on one setting, the degree cap, and one gate,
+`represent.require_under_cap`: the environment is read, and
+`DegreeCapExceeded` constructed, only inside it, and no function takes a
+`cap` parameter that could set the limit another way.  So the cap only
+refuses sizes; it never chooses an algorithm.
+
+The import graph has no cycle to dodge: no module imports inside a
+function or class body, and `represent`, which the engines build on,
+imports nothing from `engine`.
 
 The two coefficient engines check each other only while they share no
 code: past the degree, the size gate and the vector they return, the
@@ -93,7 +95,7 @@ def test_strided_views_are_readonly():
 
 def _setting_breaches(tree, module: str):
     """(line, what) for each environment read outside
-    engine.resolve_degree_cap and each function parameter named cap."""
+    represent.require_under_cap and each function parameter named cap."""
     found = []
 
     def visit(node, where):
@@ -103,7 +105,7 @@ def _setting_breaches(tree, module: str):
             found.extend((node.lineno, "cap parameter") for x in params if x.arg == "cap")
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if where != "engine.resolve_degree_cap":
+        if where != "represent.require_under_cap":
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 found.append((node.lineno, node.attr))
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
@@ -119,10 +121,10 @@ def _setting_breaches(tree, module: str):
 def test_settings_guard_tells_one_setting_from_others():
     ok = """
 import os
-def resolve_degree_cap():
+def require_under_cap(n):
     return os.environ.get("IEPOLY_DEGREE_CAP")
 """
-    assert _setting_breaches(ast.parse(ok), "engine") == []
+    assert _setting_breaches(ast.parse(ok), "represent") == []
     assert _setting_breaches(ast.parse(ok), "height") == [(4, "environ")]
     bad = """
 import os
@@ -130,11 +132,11 @@ from os import getenv
 def height(t, cap=None):
     return os.getenv("X")
 class Engine:
-    def resolve_degree_cap(self, *, cap):
+    def require_under_cap(self, *, cap):
         return os.environ["X"]
 limit = lambda cap: cap
 """
-    assert _setting_breaches(ast.parse(bad), "engine") == [
+    assert _setting_breaches(ast.parse(bad), "represent") == [
         (3, "getenv"), (4, "cap parameter"), (5, "getenv"),
         (7, "cap parameter"), (8, "environ"), (9, "cap parameter"),
     ]
@@ -150,16 +152,15 @@ def test_degree_cap_is_the_one_setting():
     assert breaches == []
 
 
-def _cap_constructions(tree, module: str, callee: str = "DegreeCapExceeded") -> list:
-    """Lines that call callee, by default construct DegreeCapExceeded,
-    outside engine.require_under_cap."""
+def _cap_constructions(tree, module: str) -> list:
+    """Lines that construct DegreeCapExceeded outside represent.require_under_cap."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if (isinstance(node, ast.Call) and _name(node) == callee
-                and where != "engine.require_under_cap"):
+        if (isinstance(node, ast.Call) and _name(node) == "DegreeCapExceeded"
+                and where != "represent.require_under_cap"):
             found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -184,35 +185,68 @@ try:
 except DegreeCapExceeded:
     pass
 """
-    assert _cap_constructions(ast.parse(src), "engine") == [6, 9, 10]
+    assert _cap_constructions(ast.parse(src), "represent") == [6, 9, 10]
     assert _cap_constructions(ast.parse(src), "serialize") == [4, 6, 9, 10]
 
 
-def _calls_outside_gate(callee: str) -> tuple[list, int]:
-    """The package's calls of callee outside engine.require_under_cap, and
-    the count inside it: engine.py read as another module shows them all."""
+def test_degree_cap_is_refused_in_one_place():
     found, gate = [], 0
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         found += [f"{path.relative_to(PACKAGE)}:{line}"
-                  for line in _cap_constructions(tree, module, callee)]
-        if module == "engine":
-            gate = len(_cap_constructions(tree, "elsewhere", callee))
-    return found, gate
-
-
-def test_degree_cap_is_refused_in_one_place():
-    found, gate = _calls_outside_gate("DegreeCapExceeded")
+                  for line in _cap_constructions(tree, module)]
+        if module == "represent":  # read as another module, it shows the gate's own
+            gate = len(_cap_constructions(tree, "elsewhere"))
     assert gate == 1  # the gate itself, so the guard has something to find
     assert found == []
 
 
-def test_degree_cap_is_read_only_by_the_gate():
-    # the cap only refuses: no other code reads it to choose an algorithm
-    found, gate = _calls_outside_gate("resolve_degree_cap")
-    assert gate == 1
-    assert found == []
+def _import_breaches(tree, module: str) -> list:
+    """(line, what) for each import inside a function or class body and,
+    in represent, each import from engine."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += [(n.lineno, "nested import") for n in ast.walk(node)
+                      if isinstance(n, (ast.Import, ast.ImportFrom))]
+        if module == "represent" and isinstance(node, ast.ImportFrom) and (
+            node.module in ("engine", "iepoly.engine")
+            or node.module is None and any(a.name == "engine" for a in node.names)
+        ):
+            found.append((node.lineno, "engine import"))
+    return sorted(set(found))  # an import in a nested body is found once per body
+
+
+def test_import_guard_finds_nested_and_engine_imports():
+    src = """
+from .errors import DegreeCapExceeded
+from .engine import degree
+from . import engine
+import numpy as np
+def gate(n):
+    from .engine import require_under_cap
+    return n
+class Reader:
+    def read(self):
+        import json
+"""
+    assert _import_breaches(ast.parse(src), "height") == [(7, "nested import"), (11, "nested import")]
+    assert _import_breaches(ast.parse(src), "represent") == [
+        (3, "engine import"), (4, "engine import"), (7, "engine import"),
+        (7, "nested import"), (11, "nested import"),
+    ]
+
+
+def test_imports_have_no_cycle_to_dodge():
+    breaches = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        breaches += [f"{path.relative_to(PACKAGE)}:{line} {what}"
+                     for line, what in _import_breaches(tree, module)]
+    assert (PACKAGE / "represent.py").exists()
+    assert breaches == []
 
 
 ENGINE_SHARED = {"degree", "require_under_cap", "CoefficientVector"}
