@@ -15,7 +15,10 @@ subtraction, then /(1 - z^vw) and /(1 - z^wu), strided running sums;
 (1 - z^uvw) is left out, since uvw > degree.  The window engine instead
 counts representable integers in four sliding windows derived from the
 decomposition; the two routes share no code beyond the triple itself,
-which is what makes their agreement a meaningful check.
+which is what makes their agreement a meaningful check.  coefficient_at,
+which reads single coefficients for the sampled identity checks, is a
+third route that shares nothing with either engine: it sums 2u entries of
+the binary polynomial Q_uv, built from its closed form.
 
 Window engine.  With W(j) the count of representable integers in the
 length-u window ending at j, a_m = W(m) - W(m-v) - W(m-w) + W(m-v-w), and
@@ -39,8 +42,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .arith import mod_inverse
 from .errors import DomainExceeded, InvalidParameters, InvalidTriple, InvariantViolated
-from .represent import Triple, indicator_range, require_under_cap, window_count, window_sum
+from .represent import Triple, indicator_range, mul_mod, require_under_cap
 
 # Entries per block of the lagged subtraction in _multiply_factor and of
 # the consecutive-run check in value_run.
@@ -200,12 +204,40 @@ def coeffs_window(t: Triple) -> CoefficientVector:
     )
 
 
+def _binary_table(u: int, v: int) -> np.ndarray:
+    """Coefficients b_0..b_(uv-1) of the binary polynomial
+    Q_uv(z) = (1 - z^uv)(1 - z) / ((1 - z^u)(1 - z^v)), as int8.
+
+    Lam and Leung's closed form (Amer. Math. Monthly 103, 1996): with
+    rho = u^(-1) mod v - 1 and sigma = v^(-1) mod u - 1, so that
+    rho*u + sigma*v = (u-1)(v-1), b_k = 1 at k = i*u + j*v with i <= rho
+    and j <= sigma, b_k = -1 at k = i*u + j*v - uv with rho < i < v and
+    sigma < j < u, and b_k = 0 elsewhere; one strided run per j.
+    """
+    rho, sigma = mod_inverse(u, v) - 1, mod_inverse(v, u) - 1
+    b = np.zeros(u * v, dtype=np.int8)
+    for j in range(u):
+        if j <= sigma:
+            b[j * v : j * v + rho * u + 1 : u] = 1
+        else:
+            b[(rho + 1) * u + j * v - u * v : j * v - u + 1 : u] = -1
+    return b
+
+
 def coefficient_at(t: Triple, m: int | np.ndarray) -> int | np.ndarray:
     """Coefficient a_m without materializing the vector.
 
     Takes an int m, giving an int, or an int64 array of m, giving an int64
     array.  Valid for -product < m < product; indices outside [0, degree]
-    give 0, consistently with the window identity itself.
+    give 0.
+
+    With (u, v, w) the sorted triple, Q_uvw(z) = Q_uv(z^w) / Q_uv(z)
+    (Kaplan's lemma, J. Number Theory 127, 2007).  1/Q_uv(z) is the
+    period-uv series +1 on offsets [0, u) and -1 on [v, v + u), and the
+    entry b_k of Q_uv(z^w) sits at k*w.  An offset j meets the one
+    k = f(j) = (m - j) * w^(-1) mod uv, so a_m is the sum of
+    b_f(j) * [f(j)*w <= m] over j in [0, u), minus that over j in
+    [v, v + u).  Two walkers, from j = 0 and j = v, step f by -w^(-1).
     """
     if not t.is_ternary():
         raise InvalidTriple(f"single-coefficient path needs a ternary triple, got {t}")
@@ -216,4 +248,20 @@ def coefficient_at(t: Triple, m: int | np.ndarray) -> int | np.ndarray:
             bad = lo if lo <= -t.product else hi
             raise DomainExceeded(f"m={bad} is outside (-{t.product}, {t.product}) for {t}")
     u, v, w = t.sorted()
-    return window_sum(lambda k, x: window_count(k, x, t), u, ms, v, w)
+    uv = u * v
+    require_under_cap(uv, "binary table length")
+    b = _binary_table(u, v)
+    w_inv = mod_inverse(w % uv, uv)
+    flat = ms.reshape(-1)
+    f = np.stack([mul_mod(flat, w_inv, uv), mul_mod(flat - v, w_inv, uv)])
+    reach = flat // w  # f*w <= m iff f <= m // w, which is negative for m < 0
+    sums = np.zeros_like(f)
+    term = np.empty(f.shape, dtype=np.int8)
+    for _ in range(u):
+        np.take(b, f, out=term)
+        term *= f <= reach
+        sums += term
+        f -= w_inv
+        f += (f >> 63) & uv  # uv where f fell below 0; a masked add is ~10x slower
+    out = sums[0] - sums[1]
+    return int(out[0]) if ms.ndim == 0 else out.reshape(ms.shape)

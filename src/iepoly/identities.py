@@ -36,7 +36,6 @@ from .represent import (
     require_under_cap,
     semigroup_representative,
     window_count,
-    window_sum,
 )
 
 # Auto mode exhausts the full domain up to this product and samples beyond.
@@ -402,6 +401,12 @@ def _check_coeff_shift(t, ws, rng, samples, mode):
 
 
 # -- offset-form checks (third element = p*q + s) ----------------------------
+
+
+def window_sum(sigma, k: int, ms, a: int, b: int):
+    """sigma(k, m) - sigma(k, m-a) - sigma(k, m-b) + sigma(k, m-a-b) for a
+    window count sigma(k, ms), such as an oracle's sigma."""
+    return sigma(k, ms) - sigma(k, ms - a) - sigma(k, ms - b) + sigma(k, ms - a - b)
 
 
 def _check_window_split(t, ws, rng, samples, mode):

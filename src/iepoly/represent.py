@@ -41,13 +41,6 @@ _PRODUCT_LIMIT = 1 << 60
 # Positions per indicator block: its int64 temporaries stay in cache.
 _BLOCK = 1 << 16
 
-# Expanded window positions per window_count chunk, which bounds its memory.
-# Not _BLOCK: 512 KiB temporaries keep glibc's dynamic mmap and trim
-# thresholds low, so a one-shot CLI process faults its pages in again on
-# every chunk: sampled `verify` at (107,151,16163) ran about 1.4x slower in
-# fresh processes on a 2-core Xeon.
-_CHUNK = 1 << 22
-
 # Largest modulus whose residue products, below its square, fit in int64:
 # isqrt(2^63 - 1).
 _INT64_SQRT = 3_037_000_499
@@ -171,6 +164,16 @@ def _mod(a, m: int):
     return a % m if a.dtype == object else a - a // m * m
 
 
+def mul_mod(ns: np.ndarray, c: int, m: int) -> np.ndarray:
+    """ns * c mod m, exact, for a 1-D int64 array ns and 0 <= c < m.  The
+    residue products reach m^2, so past _INT64_SQRT, where they would wrap
+    in int64, they are taken on an array of Python ints."""
+    r = _mod(ns, m)
+    if m > _INT64_SQRT:
+        r = r.astype(object)
+    return _mod(r * c, m).astype(np.int64)
+
+
 def indicator_many(ns: np.ndarray, t: Triple) -> np.ndarray:
     """Vectorized representability indicator (uint8) for int64 n < product.
 
@@ -217,17 +220,12 @@ def semigroup_representative(n: int | np.ndarray, t: Triple, pivot: int) -> int 
     p, q = t.others(pivot)
     pq = p * q
     ns = np.asarray(n, dtype=np.int64)
-    # one dimension even for a scalar, so an object dtype lasts to the end
-    c = _mod(ns.reshape(-1), pq)
-    if pq > _INT64_SQRT:  # the residue products below would wrap in int64
-        c = c.astype(object)
-    c = _mod(c * mod_inverse(pivot % pq, pq), pq)
+    c = mul_mod(ns.reshape(-1), mod_inverse(pivot % pq, pq), pq)
     if min(p, q) > 1:
         # c is in <p, q> iff c = x*q + y*p with x = c * q^(-1) mod p, y >= 0
-        x = _mod(_mod(c, p) * mod_inverse(q % p, p), p)
+        x = mul_mod(c, mod_inverse(q % p, p), p)
         c = np.where(c >= x * q, c, c + pq)
-    out = c.astype(np.int64)
-    return int(out[0]) if ns.ndim == 0 else out.reshape(ns.shape)
+    return int(c[0]) if ns.ndim == 0 else c.reshape(ns.shape)
 
 
 def is_representable_via_threshold(n: int, t: Triple, pivot: int) -> bool:
@@ -246,8 +244,8 @@ def window_count(k: int, m: int | np.ndarray, t: Triple) -> int | np.ndarray:
 
     Takes an int m, giving an int, or an int64 array of m, giving an int64
     array.  Requires k >= 0 and m < product; the window may reach below
-    zero, where nothing is representable.  Works through chunks of _CHUNK
-    expanded positions.
+    zero, where nothing is representable.  Walks the window one offset at
+    a time, so it holds no more than a few arrays the size of m.
     """
     if k < 0:
         raise InvalidParameters(f"window length must be >= 0, got {k}")
@@ -260,16 +258,6 @@ def window_count(k: int, m: int | np.ndarray, t: Triple) -> int | np.ndarray:
     k = min(k, max(top + 1, 0))
     require_under_cap(k, "window length")
     out = np.zeros(flat.size, dtype=np.int64)
-    if k:
-        step = max(_CHUNK // k, 1)
-        offsets = np.arange(k, dtype=np.int64)
-        for i in range(0, flat.size, step):
-            block = flat[i : i + step, None] - offsets[None, :]
-            out[i : i + step] = indicator_many(block, t).sum(axis=1, dtype=np.int64)
+    for j in range(k):
+        out += indicator_many(flat - j, t)
     return int(out[0]) if ms.ndim == 0 else out.reshape(ms.shape)
-
-
-def window_sum(sigma, k: int, ms, a: int, b: int):
-    """sigma(k, m) - sigma(k, m-a) - sigma(k, m-b) + sigma(k, m-a-b) for a
-    window count sigma(k, ms), such as window_count bound to a triple."""
-    return sigma(k, ms) - sigma(k, ms - a) - sigma(k, ms - b) + sigma(k, ms - a - b)

@@ -89,10 +89,17 @@ def _reader(decode):
 
 
 def write_json(vec: CoefficientVector, fp: IO[str]) -> None:
-    obj = header_dict(vec)
-    obj["coeffs"] = vec.coeffs.tolist()
-    json.dump(obj, fp, separators=(",", ":"))
-    fp.write("\n")
+    """The header object with a "coeffs" list, compact, then a newline.
+    The list goes out _ROW_CHUNK entries at a time, so no Python list of
+    the whole vector is held.  The str of a list of ints is its JSON array
+    with ", " between entries (no entry holds a space), formatted without
+    the str object per entry that a join would hold."""
+    head = json.dumps(header_dict(vec), separators=(",", ":"))
+    fp.write(head[:-1] + ',"coeffs":[')
+    for start in range(0, len(vec.coeffs), _ROW_CHUNK):
+        chunk = str(vec.coeffs[start : start + _ROW_CHUNK].tolist())[1:-1]
+        fp.write(("," if start else "") + chunk.replace(" ", ""))
+    fp.write("]}\n")
 
 
 @_reader

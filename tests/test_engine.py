@@ -27,7 +27,7 @@ from iepoly.errors import (
 )
 from iepoly.represent import Triple, require_under_cap
 
-from helpers import coprime_triples, reference_coeffs
+from helpers import coprime_triples, div_binomial, mul_binomial, reference_coeffs
 
 ORACLE_TRIPLES = [
     (3, 5, 7),
@@ -108,10 +108,12 @@ def test_coefficient_reads_ints_and_arrays(triple, mode):
         assert vec.coefficient(np.array([1, d - 1])).tolist() == [full[1], full[d - 1] + 7]
 
 
-@pytest.mark.parametrize("p,q,r", [(3, 5, 7), (5, 7, 11), (7, 5, 3)])
+@pytest.mark.parametrize(  # composite and unsorted triples among them
+    "p,q,r", [(3, 5, 7), (5, 7, 11), (7, 5, 3), (9, 10, 91), (8, 15, 121), (25, 16, 27), (14, 9, 5)]
+)
 def test_coefficient_at_matches_vector(p, q, r):
     t = Triple(p, q, r)
-    vec = coeffs_series(t).coeffs
+    vec = np.array(reference_coeffs(p, q, r), dtype=np.int64)
     d = degree(t)
     for m in [-p * q * r + 1, -1, 0, 1, d // 2, d, d + 1, p * q * r - 1]:
         expect = int(vec[m]) if 0 <= m <= d else 0
@@ -123,6 +125,50 @@ def test_coefficient_at_matches_vector(p, q, r):
         coefficient_at(t, p * q * r)
     with pytest.raises(DomainExceeded, match=f"m={-p * q * r} is outside"):
         coefficient_at(t, np.array([0, -p * q * r]))
+
+
+@pytest.mark.parametrize("u,v", [(3, 4), (3, 5), (4, 9), (8, 15), (9, 10), (16, 25), (7, 16)])
+def test_binary_table_matches_long_division(u, v):
+    # Q_uv = (1 - z^uv)(1 - z) / ((1 - z^u)(1 - z^v)), padded to uv entries
+    q = [1]
+    for a in (u * v, 1):
+        q = mul_binomial(q, a)
+    for b in (u, v):
+        q = div_binomial(q, b)
+    b = engine._binary_table(u, v)
+    assert b.dtype == np.int8
+    assert b.tolist() == q + [0] * (u * v - len(q))
+
+
+def test_coefficient_at_refuses_its_table_past_the_cap(monkeypatch):
+    t = Triple(9, 10, 91)  # uv = 90
+    expect = coefficient_at(t, 40)
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "89")
+    with pytest.raises(DegreeCapExceeded, match="binary table length 90 exceeds"):
+        coefficient_at(t, 40)
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "90")
+    assert coefficient_at(t, 40) == expect
+
+
+def test_coefficient_at_answers_past_the_cap_when_its_table_fits(monkeypatch):
+    # r = 1001 and the degree are past the cap; only the uv = 40 entries of
+    # the binary table are sized by the triple
+    monkeypatch.setenv("IEPOLY_DEGREE_CAP", "100")
+    t = Triple(5, 8, 1001)
+    ms = np.arange(t.product)
+    vec = reference_coeffs(5, 8, 1001)
+    assert coefficient_at(t, ms).tolist() == vec + [0] * (t.product - len(vec))
+
+
+@pytest.mark.parametrize("triple", [(9, 10, 91), (14, 9, 5), (101, 103, 997)])
+def test_coefficient_at_wide_residues_match(monkeypatch, triple):
+    # below uv the residue products take the exact path of Python ints
+    t = Triple(*triple)
+    ms = np.random.default_rng(5).integers(-t.product + 1, t.product, size=3000)
+    expect = coefficient_at(t, ms)
+    monkeypatch.setattr(represent, "_INT64_SQRT", 7)
+    assert coefficient_at(t, ms).tolist() == expect.tolist()
+    assert [coefficient_at(t, m) for m in ms[:50].tolist()] == expect[:50].tolist()
 
 
 def test_permutation_invariance():

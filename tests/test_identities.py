@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from iepoly import identities
+from iepoly import identities, represent
 from iepoly.engine import coeffs_series, degree
 from iepoly.cli import main
 from iepoly.errors import (
@@ -388,6 +388,24 @@ def test_planted_violation_is_caught():
     by_id = {rep.check_id: rep for rep in failed}
     assert "multiple-period" in by_id, "exhaustive multiple-period ignored the workspace"
     assert by_id["multiple-period"].witness == {"k": -15, "j": 1, "pivot": 3}
+
+
+def test_sampled_checks_catch_a_corrupted_indicator(monkeypatch):
+    # flip ind(n) at every n >= 0 with n = 3 (mod 7), wherever the indicator
+    # is read; sampled coefficients do not read it, so each check comparing
+    # them with window counts or indicator values must notice
+    original = indicator_many
+
+    def flipped(ns, t):
+        ns = np.asarray(ns, dtype=np.int64)
+        return original(ns, t) ^ ((ns >= 0) & (ns % 7 == 3)).astype(np.uint8)
+
+    monkeypatch.setattr(represent, "indicator_many", flipped)
+    monkeypatch.setattr(identities, "indicator_many", flipped)
+    t = Triple(101, 103, 10408)
+    for cid in ("window-split", "window-split-eval", "coeff-shift"):
+        rep = verify_identity(cid, t, mode="sampled", samples=2000, seed=7)
+        assert not rep.passed and rep.witness is not None, cid
 
 
 def _walk(cid, t, ws):

@@ -232,6 +232,44 @@ def test_binary_write_copies_no_payload():
     assert len(buf.getvalue()) == serialize._BIN_HEADER.size + vec.coeffs.nbytes
 
 
+@pytest.mark.parametrize("triple", [(3, 5, 7), (4, 5, 21), (23, 29, 421)])  # 421: chunks in both modes
+@pytest.mark.parametrize("mode", ["full", "half"])
+def test_json_write_matches_the_json_encoder(triple, mode):
+    vec = coeffs_series(Triple(*triple), mode=mode)
+    expect = io.StringIO()
+    json.dump({**serialize.header_dict(vec), "coeffs": vec.coeffs.tolist()}, expect,
+              separators=(",", ":"))
+    expect.write("\n")
+    buf = io.StringIO()
+    serialize.write_json(vec, buf)
+    assert buf.getvalue() == expect.getvalue()
+
+
+class _DiscardText(io.TextIOBase):
+    """A text sink that keeps nothing it is given."""
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        return len(s)
+
+
+def test_json_write_holds_no_whole_list(monkeypatch):
+    # a Python list of the vector alone takes its bytes again, before any
+    # int or str object of the encoding; the chunk is made small, so the
+    # vector spans 64 of them
+    vec = coeffs_series(Triple(23, 29, 421))
+    monkeypatch.setattr(serialize, "_ROW_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        serialize.write_json(vec, _DiscardText())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * vec.coeffs.nbytes
+
+
 def test_csv_rejects_row_gap():
     vec = coeffs_series(Triple(3, 5, 7))
     buf = io.StringIO()
