@@ -39,6 +39,13 @@ KNOWN_FLAT: tuple[tuple[int, int, int], ...] = (
 )
 
 
+def _report(check_id: str, instance: tuple, passed: bool, checked: int, detail: str,
+            witness: dict | None) -> VerificationReport:
+    """An exact report; the witness is kept only when the check failed."""
+    return VerificationReport(check_id, instance, passed, checked=checked,
+                              witness=None if passed else witness, detail=detail)
+
+
 def _height_value(p: int, q: int, r: int) -> int:
     return height(_triple(p, q, r)).height
 
@@ -78,14 +85,8 @@ def verify_height_residue(p: int, q: int, r: int, s: int) -> VerificationReport:
     relation = _pair_relation(p, q, r, s)
     h_r = _height_value(p, q, r)
     h_s = _height_value(p, q, s)
-    return VerificationReport(
-        check_id="height-residue",
-        instance=(p, q, r, s),
-        passed=h_r == h_s,
-        checked=2,
-        witness=None if h_r == h_s else {"heights": [h_r, h_s]},
-        detail=f"{relation}-class heights {h_r} and {h_s}",
-    )
+    return _report("height-residue", (p, q, r, s), h_r == h_s, 2,
+                   f"{relation}-class heights {h_r} and {h_s}", {"heights": [h_r, h_s]})
 
 
 def verify_coeffset_residue(p: int, q: int, r: int, s: int) -> VerificationReport:
@@ -97,15 +98,10 @@ def verify_coeffset_residue(p: int, q: int, r: int, s: int) -> VerificationRepor
     set_r = coefficient_set(_triple(p, q, r))
     set_s = coefficient_set(_triple(p, q, s))
     expected = set_s if relation == "same" else tuple(sorted(-c for c in set_s))
-    passed = set_r == expected
-    return VerificationReport(
-        check_id="coeffset-residue",
-        instance=(p, q, r, s),
-        passed=passed,
-        checked=len(set_r) + len(set_s),
-        witness=None if passed else {"sets": [list(set_r), list(set_s)]},
-        detail=f"{relation}-class sets {list(set_r)} and {list(set_s)}",
-    )
+    return _report("coeffset-residue", (p, q, r, s), set_r == expected,
+                   len(set_r) + len(set_s),
+                   f"{relation}-class sets {list(set_r)} and {list(set_s)}",
+                   {"sets": [list(set_r), list(set_s)]})
 
 
 def _step_preconditions(p: int, q: int, s: int, r: int) -> None:
@@ -125,33 +121,26 @@ def verify_recursive_bound(p: int, q: int, s: int, r: int) -> VerificationReport
     height uses the s - 1 convention when s <= 2.
     """
     _step_preconditions(p, q, s, r)
-    base = _height_value(p, q, s)
-    upper = _height_value(p, q, r)
-    passed = base <= upper <= base + 1
+    return _recursive_report(p, q, s, r, _height_value(p, q, s), _height_value(p, q, r))
+
+
+def _recursive_report(p: int, q: int, s: int, r: int, base: int, upper: int) -> VerificationReport:
+    """The step bound base <= upper <= base + 1 on the companion height base
+    and the main height upper."""
     attained = "plus-one" if upper == base + 1 else "equal"
-    return VerificationReport(
-        check_id="recursive-bound",
-        instance=(p, q, s, r),
-        passed=passed,
-        checked=2,
-        witness=None if passed else {"heights": [base, upper]},
-        detail=f"companion height {base}, main height {upper} ({attained})",
-    )
+    return _report("recursive-bound", (p, q, s, r), base <= upper <= base + 1, 2,
+                   f"companion height {base}, main height {upper} ({attained})",
+                   {"heights": [base, upper]})
 
 
 def verify_absolute_bound(p: int, q: int, s: int, r: int) -> VerificationReport:
     """The height at r is at most s, strictly below s once s >= 5."""
     _step_preconditions(p, q, s, r)
     val = _height_value(p, q, r)
-    passed = val < s if s >= 5 else val <= s
-    return VerificationReport(
-        check_id="absolute-bound",
-        instance=(p, q, s, r),
-        passed=passed,
-        checked=1,
-        witness=None if passed else {"height": val},
-        detail=f"height {val} vs offset {s}" + (" (strict)" if s >= 5 else ""),
-    )
+    strict = s >= 5
+    return _report("absolute-bound", (p, q, s, r), val < s if strict else val <= s, 1,
+                   f"height {val} vs offset {s}" + (" (strict)" if strict else ""),
+                   {"height": val})
 
 
 def _parse_sign(sign) -> int:
@@ -182,15 +171,20 @@ def verify_iterated_bound(p: int, q: int, sign) -> VerificationReport:
     inner = _height_value(p, q, mid)
     outer_triple = _triple(q, mid, third)
     outer = height(outer_triple).height
-    passed = inner == 1 and outer <= 2
-    return VerificationReport(
-        check_id="iterated-bound",
-        instance=(p, q, e),
-        passed=passed,
-        checked=2,
-        witness=None if passed else {"inner": inner, "outer": outer},
-        detail=f"height({outer_triple}) = {outer} via flat step height {inner}",
-    )
+    return _report("iterated-bound", (p, q, e), inner == 1 and outer <= 2, 2,
+                   f"height({outer_triple}) = {outer} via flat step height {inner}",
+                   {"inner": inner, "outer": outer})
+
+
+# The whole-polynomial checks by id.  Each takes its parameters in the order
+# of its signature, which the CLI reads, so that order is stated once.
+BOUND_CHECKS: dict[str, object] = {
+    "height-residue": verify_height_residue,
+    "coeffset-residue": verify_coeffset_residue,
+    "recursive-bound": verify_recursive_bound,
+    "absolute-bound": verify_absolute_bound,
+    "iterated-bound": verify_iterated_bound,
+}
 
 
 def bounded_height_sup(s: int, p_max: int) -> tuple[int, list[tuple[int, int]]]:
@@ -221,28 +215,13 @@ def verify_known_values() -> list[VerificationReport]:
     reports = []
     for (p, q, r), expected in KNOWN_HEIGHTS:
         got = height(Triple(p, q, r)).height
-        reports.append(
-            VerificationReport(
-                check_id="known-height",
-                instance=(p, q, r),
-                passed=got == expected,
-                checked=1,
-                witness=None if got == expected else {"expected": expected, "got": got},
-                detail=f"height {got}, reference {expected}",
-            )
-        )
+        reports.append(_report("known-height", (p, q, r), got == expected, 1,
+                               f"height {got}, reference {expected}",
+                               {"expected": expected, "got": got}))
     for p, q, r in KNOWN_FLAT:
         flat = is_flat(Triple(p, q, r))
-        reports.append(
-            VerificationReport(
-                check_id="known-flat",
-                instance=(p, q, r),
-                passed=flat,
-                checked=1,
-                witness=None if flat else {"flat": False},
-                detail="flat" if flat else "not flat",
-            )
-        )
+        reports.append(_report("known-flat", (p, q, r), flat, 1,
+                               "flat" if flat else "not flat", {"flat": False}))
     return reports
 
 
@@ -281,22 +260,10 @@ def survey_residue_classes(p: int, q: int) -> list[VerificationReport]:
         elif mirror and tuple(sorted(-c for c in cs)) != mirror[1] and set_bad is None:
             set_bad = {"class": cls, "witnesses": [[mirror[0], list(mirror[1])], [t, list(cs)]]}
     return [
-        VerificationReport(
-            check_id="height-residue",
-            instance=(p, q),
-            passed=height_bad is None,
-            checked=n,
-            witness=height_bad,
-            detail=f"{n} third elements in {len(first_height)} folded classes",
-        ),
-        VerificationReport(
-            check_id="coeffset-residue",
-            instance=(p, q),
-            passed=set_bad is None,
-            checked=n,
-            witness=set_bad,
-            detail=f"{n} third elements in {len(first_set)} classes",
-        ),
+        _report("height-residue", (p, q), height_bad is None, n,
+                f"{n} third elements in {len(first_height)} folded classes", height_bad),
+        _report("coeffset-residue", (p, q), set_bad is None, n,
+                f"{n} third elements in {len(first_set)} classes", set_bad),
     ]
 
 
@@ -305,7 +272,8 @@ def recursive_bound_sweep(
 ) -> tuple[list[VerificationReport], dict[str, int]]:
     """Both step bounds over all (p, q, s, sign) with p < q <= q_max and
     1 <= s < q, r = pq + sign*s; returns the reports in enumeration order
-    and a tally of how often the upper step is attained versus exact equality."""
+    and a tally of how often the upper step is attained versus exact
+    equality.  The companion height is computed once for both signs."""
     reports: list[VerificationReport] = []
     tally = {"instances": 0, "equal": 0, "plus-one": 0, "failed": 0}
     for p, q in enumerate_coprime_pairs(q_max, q_max, p_min=p_min):
@@ -313,14 +281,12 @@ def recursive_bound_sweep(
         for s in range(1, q):
             if gcd(s, pq) != 1:
                 continue
-            for sign in (1, -1):
-                rep = verify_recursive_bound(p, q, s, pq + sign * s)
-                tally["instances"] += 1
-                if not rep.passed:
-                    tally["failed"] += 1
-                elif rep.detail.endswith("(plus-one)"):
-                    tally["plus-one"] += 1
-                else:
-                    tally["equal"] += 1
-                reports.append(rep)
+            base = _height_value(p, q, s)
+            for r in (pq + s, pq - s):
+                _step_preconditions(p, q, s, r)
+                upper = _height_value(p, q, r)
+                reports.append(_recursive_report(p, q, s, r, base, upper))
+                tally["equal" if upper == base else
+                      "plus-one" if upper == base + 1 else "failed"] += 1
+    tally["instances"] = len(reports)
     return reports, tally

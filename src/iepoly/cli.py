@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -24,16 +25,6 @@ from .errors import DegreeCapExceeded, IEPolyError, PreconditionViolated
 from .height import height
 from .represent import Triple
 from .search import SEARCH_KINDS, SearchTask, sweep_heights
-
-# whole-polynomial checks: positional parameter order and the checks
-# function, looked up by name at call time
-_BOUND_CHECKS = {
-    "height-residue": (("p", "q", "r", "s"), "verify_height_residue"),
-    "coeffset-residue": (("p", "q", "r", "s"), "verify_coeffset_residue"),
-    "recursive-bound": (("p", "q", "s", "r"), "verify_recursive_bound"),
-    "absolute-bound": (("p", "q", "s", "r"), "verify_absolute_bound"),
-    "iterated-bound": (("p", "q", "sign"), "verify_iterated_bound"),
-}
 
 
 def _int_param(token: str) -> int:
@@ -117,17 +108,15 @@ def _cmd_verify(args) -> int:
             raise PreconditionViolated(f"{cid} takes p q r, got {len(params)} values")
         t = Triple(*(_int_param(x) for x in params))
         return _report_exit(identities.verify_identity(cid, t, **opts), args.json)
-    if cid in _BOUND_CHECKS:
+    if cid in checks.BOUND_CHECKS:
         if opts:  # a whole-polynomial check has no positions to draw
             raise PreconditionViolated(f"{cid} takes no --{', --'.join(opts)}")
-        names, fn_name = _BOUND_CHECKS[cid]
+        check = checks.BOUND_CHECKS[cid]
+        names = tuple(inspect.signature(check).parameters)
         if len(params) != len(names):
-            raise PreconditionViolated(
-                f"{cid} takes {' '.join(names)}, got {len(params)} values"
-            )
-        vals = [p if n == "sign" else _int_param(p) for n, p in zip(names, params)]
-        report = getattr(checks, fn_name)(*vals)
-        return _report_exit(report, args.json)
+            raise PreconditionViolated(f"{cid} takes {' '.join(names)}, got {len(params)} values")
+        vals = [x if n == "sign" else _int_param(x) for n, x in zip(names, params)]
+        return _report_exit(check(*vals), args.json)
     raise PreconditionViolated(f"unknown check id {cid!r}")
 
 

@@ -123,7 +123,10 @@ def _cofactor_inverse(m: int, t: Triple) -> int:
     return mod_inverse(t.product // m % m, m) if m > 1 else 0
 
 
-@lru_cache(maxsize=128)
+# Two entries: no check reads more than a triple and its companion, and each
+# entry holds p + q + r int64s, so a longer cache would keep memory that
+# grows with the number of triples seen rather than with the degree cap.
+@lru_cache(maxsize=2)
 def _residue_tables(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lookup tables xtab, ytab, ztab: xtab[n % p] = x_n * q * r, and
     likewise for y and z."""

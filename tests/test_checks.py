@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from iepoly import checks
@@ -36,6 +38,11 @@ class TestHeightResidue:
         with pytest.raises(PreconditionViolated):
             verify_height_residue(3, 5, 17, 2)
 
+    def test_invalid_triple_is_a_precondition(self):
+        # 20 = 35 mod 15, but {3, 5, 20} is not pairwise coprime
+        with pytest.raises(PreconditionViolated, match="pairwise coprime"):
+            verify_height_residue(3, 5, 20, 35)
+
 
 class TestCoeffsetResidue:
     def test_same_class_sets_equal(self):
@@ -59,6 +66,8 @@ class TestRecursiveBound:
             verify_recursive_bound(3, 5, 6, 21)  # s >= max(p,q)
         with pytest.raises(PreconditionViolated):
             verify_recursive_bound(3, 5, 2, 18)  # wrong residue
+        with pytest.raises(PreconditionViolated, match="offset must be at least 1"):
+            verify_recursive_bound(3, 5, 0, 15)
 
 
 class TestAbsoluteBound:
@@ -72,10 +81,16 @@ class TestAbsoluteBound:
 
 
 class TestIteratedBound:
-    @pytest.mark.parametrize("p,q,sign", [(3, 5, "+"), (3, 5, "-"), (4, 5, "+"), (2, 7, "-")])
+    @pytest.mark.parametrize("p,q,sign", [(3, 5, "+"), (3, 5, "-"), (4, 5, "+"), (2, 7, "-"),
+                                          (3, 5, 1), (4, 5, -1)])
     def test_instances(self, p, q, sign):
         rep = verify_iterated_bound(p, q, sign)
         assert rep.passed, rep
+        assert rep.instance[2] in (1, -1)
+
+    def test_derived_elements_too_small(self):
+        with pytest.raises(PreconditionViolated, match="too small"):
+            verify_iterated_bound(1, 2, "-")  # pq - 1 = 1
 
     def test_not_coprime(self):
         with pytest.raises(PreconditionViolated):
@@ -155,3 +170,20 @@ def test_recursive_sweep_tallies_both_outcomes():
     assert tally["failed"] == 0
     assert tally["equal"] > 0 and tally["plus-one"] > 0
     assert tally["instances"] == len(reports)
+
+
+def test_recursive_sweep_tallies_a_broken_step(monkeypatch):
+    _, intact = recursive_bound_sweep(q_max=8)
+    real = checks.height
+
+    def raised(t):  # {3, 5, 17} reads 4, three above its companion {3, 5, 2}
+        rec = real(t)
+        return dataclasses.replace(rec, height=4) if t.as_tuple() == (3, 5, 17) else rec
+
+    monkeypatch.setattr(checks, "height", raised)
+    reports, tally = recursive_bound_sweep(q_max=8)
+    assert tally["failed"] == 1 and tally["instances"] == intact["instances"]
+    assert tally["equal"] + tally["plus-one"] + tally["failed"] == len(reports)
+    [bad] = [rep for rep in reports if not rep.passed]
+    assert bad.instance == (3, 5, 2, 17) and bad.witness == {"heights": [1, 4]}
+    assert bad == verify_recursive_bound(3, 5, 2, 17)

@@ -173,10 +173,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
             witness={"heights": [9, 0]},
         )
 
-    monkeypatch.setattr(iepoly.checks, "verify_recursive_bound", fake)
+    monkeypatch.setitem(iepoly.checks.BOUND_CHECKS, "recursive-bound", fake)
     code, out, _ = run(capsys, "verify", "recursive-bound", "3", "5", "2", "17")
     assert code == 1
     assert "FAIL" in out and "witness" in out
+
+
+# the parameter order of each whole-polynomial check, as the README shows it
+BOUND_PARAMS = {
+    "height-residue": "p q r s",
+    "coeffset-residue": "p q r s",
+    "recursive-bound": "p q s r",
+    "absolute-bound": "p q s r",
+    "iterated-bound": "p q sign",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(iepoly.checks.BOUND_CHECKS))
+def test_bound_check_arity_names_its_parameters(capsys, cid):
+    names = BOUND_PARAMS[cid]
+    for count in (len(names.split()) - 1, len(names.split()) + 1):
+        code, out, err = run(capsys, "verify", cid, *["3"] * count)
+        assert code == 2 and out == ""
+        assert err == f"error: {cid} takes {names}, got {count} values\n"
 
 
 def test_verify_iterated_sign_token(capsys):

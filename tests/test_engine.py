@@ -85,6 +85,8 @@ def test_half_mode_is_prefix():
     assert half.half and len(half.coeffs) == n
     assert np.array_equal(half.coeffs, full.coeffs[:n])
     assert np.array_equal(half.coefficient(np.arange(half.degree + 1)), full.coeffs)
+    with pytest.raises(InvalidParameters, match="mode must be 'full' or 'half'"):
+        coeffs_series(t, mode="quarter")
 
 
 @pytest.mark.parametrize("triple", [(3, 5, 7), (4, 5, 21), (5, 7, 11)])  # even and odd

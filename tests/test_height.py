@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import iepoly.height  # noqa: F401  - force the submodule into sys.modules
-from iepoly.errors import NotConsecutive
+from iepoly.errors import InvalidParameters, NotConsecutive
 from iepoly.height import coefficient_set, height, is_flat
 from iepoly.represent import Triple
 
@@ -54,6 +54,8 @@ def test_coefficient_set_consecutive():
     cs = coefficient_set(Triple(3, 5, 7))
     assert cs == (-2, -1, 0, 1)
     assert coefficient_set(Triple(3, 5, 16)) == (-1, 0, 1)
+    with pytest.raises(InvalidParameters, match="needs all elements >= 3"):
+        coefficient_set(Triple(3, 5, 2))
 
 
 def test_is_flat():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from iepoly import represent
 from iepoly.errors import (
-    DegreeCapExceeded, DomainExceeded, IEPolyError, InvalidTriple, InvariantViolated,
+    DegreeCapExceeded, DomainExceeded, IEPolyError, InvalidParameters, InvalidTriple,
+    InvariantViolated,
 )
 from iepoly.represent import (
     Triple,
@@ -31,6 +32,8 @@ class TestTriple:
         assert t.product == 105
         assert t.sorted() == (3, 5, 7)
         assert t.others(5) == (3, 7)
+        with pytest.raises(InvalidParameters, match="pivot 4 is not an element"):
+            t.others(4)
         assert str(t) == "{3,5,7}"
 
     def test_degenerate_slot_allowed_once(self):
@@ -41,7 +44,9 @@ class TestTriple:
         with pytest.raises(InvalidTriple):
             Triple(1, 2, 5)
 
-    @pytest.mark.parametrize("bad", [(3, 5, 10), (4, 6, 7), (3, 3, 5), (0, 3, 5), (3, -5, 7)])
+    # the last: 2^61 - 1 is prime, so only the product past 2^60 is wrong
+    @pytest.mark.parametrize("bad", [(3, 5, 10), (4, 6, 7), (3, 3, 5), (0, 3, 5), (3, -5, 7),
+                                     (2**61 - 1, 3, 5)])
     def test_invalid(self, bad):
         with pytest.raises(InvalidTriple):
             Triple(*bad)
@@ -105,6 +110,23 @@ def test_residue_tables_respect_the_degree_cap(monkeypatch):
     assert decompose(15, t) == (0, 0, 1, 0)  # builds no table, so needs no cap
     monkeypatch.setenv("IEPOLY_DEGREE_CAP", "7")
     assert is_representable(15, t)
+
+
+def test_residue_tables_held_for_two_triples_at_most():
+    # each cached entry holds p + q + r int64s: after eight distinct triples
+    # the cache keeps no more than a triple and its companion
+    rs = range(200_001, 200_081, 10)  # ending in 1, so coprime to 5 and 8
+    table_bytes = 8 * (5 + 8 + max(rs))
+    represent._residue_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        for r in rs:
+            assert is_representable(40, Triple(5, 8, r))  # 40 = pq
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        represent._residue_tables.cache_clear()
+    assert held < 3 * table_bytes
 
 
 def test_window_count_refuses_a_window_past_the_cap(monkeypatch):
@@ -197,6 +219,11 @@ def test_indicator_domain():
         is_representable(105, t)
     with pytest.raises(DomainExceeded):
         indicator_many(np.array([0, 105]), t)
+    with pytest.raises(DomainExceeded, match="stop=106 exceeds product 105"):
+        indicator_range(t, 106)
+    for n in (-1, 105):
+        with pytest.raises(DomainExceeded, match=rf"n={n} is outside \[0, 105\)"):
+            is_representable_via_threshold(n, t, 7)
 
 
 @pytest.mark.parametrize("p,q,r", [(3, 5, 7), (5, 7, 11), (3, 5, 17)])
@@ -237,6 +264,8 @@ def test_window_count_small():
         assert got.dtype == np.int64 and got.tolist() == expect, k
     with pytest.raises(DomainExceeded):
         window_count(0, np.array([3, 105]), t)
+    with pytest.raises(InvalidParameters, match="window length must be >= 0"):
+        window_count(-1, 50, t)
 
 
 @settings(max_examples=200)

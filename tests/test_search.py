@@ -62,6 +62,10 @@ class TestTaskValidation:
         with pytest.raises(InvalidParameters):
             SearchTask("height-sweep", ((5, 3), (3, 9), (3, 9)))
 
+    def test_lower_bound_below_three(self):
+        with pytest.raises(InvalidParameters, match="at least 3"):
+            SearchTask("height-sweep", ((2, 5), (3, 9), (3, 9)))
+
     @pytest.mark.parametrize("kind", ["height-sweep", "flat-hunt"])
     def test_offset_on_triple_kind(self, kind):
         with pytest.raises(InvalidParameters, match="takes no offset"):
@@ -159,6 +163,16 @@ def test_resume_rejects_lines_a_sweep_never_writes(tmp_path, mangle, unreadable)
     if unreadable:
         with pytest.raises(PersistenceError, match="line 2"):
             read_results(out)
+
+
+def test_resume_rejects_unreadable_manifest(tmp_path):
+    out = str(tmp_path / "m.jsonl")
+    sweep_heights(SearchTask("height-sweep", RANGES), out)
+    blob = Path(out).read_bytes()
+    Path(out + MANIFEST_SUFFIX).write_text("{not json")
+    with pytest.raises(PersistenceError, match="unreadable manifest"):
+        sweep_heights(SearchTask("height-sweep", RANGES, resume_from=out), out)
+    assert Path(out).read_bytes() == blob
 
 
 def test_resume_into_other_file_rejected(tmp_path):

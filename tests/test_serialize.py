@@ -363,8 +363,11 @@ FORMATS = {
         ("csv", lambda s: s.replace(serialize._CSV_COLUMNS, "index;coefficient", 1),
          "unexpected CSV column header"),
         ("bin", lambda b: b[: serialize._BIN_HEADER.size - 1], "truncated binary header"),
+        ("json", lambda s: s.replace('"coeffs":[1,', '"coeffs":[1,0,'),
+         r"50 coefficients do not fit degree 48 \(half=False\)"),
     ],
-    ids=["json-unknown-engine", "csv-header-line", "csv-column-line", "bin-short-header"],
+    ids=["json-unknown-engine", "csv-header-line", "csv-column-line", "bin-short-header",
+         "json-payload-length"],
 )
 def test_reader_names_the_malformed_part(kind, mangle, message):
     writer, reader, stream = FORMATS[kind]

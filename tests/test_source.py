@@ -23,6 +23,12 @@ The two coefficient engines check each other only while they share no
 code: past the degree, the size gate and the vector they return, the
 names that `coeffs_series` and `coeffs_window` reach in `engine.py` are
 disjoint.
+
+A cache keeps what it holds until it is evicted, so its memory is set by
+its size, not by the degree cap: every `functools.lru_cache` gives a
+literal `maxsize`, and an unbounded one (`functools.cache`, or
+`maxsize=None`) sits only on a function that takes no arguments, which
+holds one entry.
 """
 
 import ast
@@ -313,3 +319,79 @@ def test_engines_share_no_code():
         _reached(tree, "coeffs_window") | _reached(tree, "coeffs_series")
     )
     assert _shared_engine_names(tree) == set()
+
+
+CACHE_OK = ("bounded", "one entry")
+
+
+def _caches(tree) -> list:
+    """(line, verdict) for each cache decorator: "bounded" for an lru_cache
+    with a literal int maxsize, "one entry" for an unbounded cache on a
+    function that takes no arguments, and otherwise the breach."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        takes_args = any((a.posonlyargs, a.args, a.kwonlyargs, a.vararg, a.kwarg))
+        for dec in node.decorator_list:
+            fn = dec.func if isinstance(dec, ast.Call) else dec
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name not in ("cache", "lru_cache"):
+                continue
+            sizes = [*dec.args, *(k.value for k in dec.keywords if k.arg == "maxsize")] \
+                if isinstance(dec, ast.Call) else []
+            size = sizes[0] if sizes else None
+            if name == "cache" or isinstance(size, ast.Constant) and size.value is None:
+                found.append((dec.lineno, "unbounded cache" if takes_args else "one entry"))
+            elif isinstance(size, ast.Constant) and type(size.value) is int:
+                found.append((dec.lineno, "bounded"))
+            else:
+                found.append((dec.lineno, "no literal maxsize"))
+    return sorted(found)
+
+
+def test_cache_guard_tells_bounded_caches_from_others():
+    src = """
+import functools
+from functools import cache, lru_cache
+@functools.lru_cache(maxsize=2)
+def tables(t): ...
+@lru_cache(16)
+def small(t): ...
+@functools.cache
+def parser(): ...
+@lru_cache(maxsize=None)
+def once(): ...
+@lru_cache
+def bare(t): ...
+@lru_cache()
+def called(t): ...
+@functools.lru_cache(maxsize=SIZE)
+def named(t): ...
+@cache
+def grows(t): ...
+@lru_cache(None)
+def grows_too(*ts): ...
+class Box:
+    @functools.cache
+    def method(self): ...
+    @functools.cached_property
+    def table(self): ...
+"""
+    assert _caches(ast.parse(src)) == [
+        (4, "bounded"), (6, "bounded"), (8, "one entry"), (10, "one entry"),
+        (12, "no literal maxsize"), (14, "no literal maxsize"), (16, "no literal maxsize"),
+        (18, "unbounded cache"), (20, "unbounded cache"), (23, "unbounded cache"),
+    ]
+
+
+def test_package_caches_are_bounded():
+    caches, breaches = 0, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for line, verdict in _caches(ast.parse(path.read_text(), filename=str(path))):
+            caches += 1
+            if verdict not in CACHE_OK:
+                breaches.append(f"{path.relative_to(PACKAGE)}:{line} {verdict}")
+    assert caches >= 2  # the residue tables and the CLI parser
+    assert breaches == []
